@@ -178,11 +178,10 @@ def _cmd_degrees(args) -> Report:
     with timer() as t:
         group = _group_from_descriptor(args.group)
         degrees = engine.irreducible_degrees(group, seed=args.seed)
-        classes = engine.conjugacy_classes(group)
         row = {
             "group": args.group,
             "order": group.order,
-            "classes": len(classes.reps),
+            "classes": len(degrees.degrees),
             "degrees": list(degrees.degrees),
             "linear": degrees.linear_count(),
             "sum_of_squares": degrees.sum_of_squares(),
@@ -207,7 +206,7 @@ def _cmd_frobenius(args) -> Report:
             "p": p,
             "m": m,
             "order": group.order,
-            "classes": len(engine.conjugacy_classes(group).reps),
+            "classes": len(engine_degrees.degrees),
             "degrees": list(closed.degrees),
             "pprime_count": closed.pprime_count(p),
             "engine_agrees": ok,

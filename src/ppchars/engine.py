@@ -1,17 +1,28 @@
 """Small-finite-group engine: closures, conjugacy classes, character degrees.
 
-Groups are stored as indexed element lists with a composition callback, so
-permutation groups, affine maps and matrix groups all share one code path.
+Groups are built from a composition callback, so permutation groups, affine
+maps and matrix groups all share one code path, or from a multiplication
+table.  The callback is used only while the closure runs: it records the
+products x * g by the generators as integer right-multiplication tables,
+plus a breadth-first word tree, and everything after that (products,
+inverses, conjugacy classes, element orders, the derived subgroup) is
+index arithmetic on those tables.
 Character degrees are computed by the classical modular method (Dixon):
 
-1. compute the class multiplication coefficients a_ijk;
+1. compute the class multiplication coefficients a_ijk, one pass over G per
+   class representative z_k through the right-regular permutation
+   x -> x z_k, composed from the generator tables along z_k's word;
 2. pick a prime L = 1 (mod exponent of G) with L > |G|, so that F_L
    contains all needed roots of unity and every degree-squared value is
    read off exactly;
 3. simultaneously diagonalize the class matrices M_i = (a_ijk)_jk over
    F_L by refining common eigenspaces with random linear combinations
-   (eigenvalues via characteristic polynomials and gcd-with-Frobenius
-   root extraction);
+   (Dixon-Schneider).  Each combination, restricted to the space being
+   split, is reduced once to Hessenberg form H; its characteristic
+   polynomial comes from H, roots by gcd with x^L - x and equal-degree
+   splitting, and each eigenspace ker(H - zI) by forward elimination on
+   H, O(c^2) per eigenvalue rather than O(c^3) for a dense nullspace.
+   Every eigenvector is checked against the matrix in exact arithmetic;
 4. each one-dimensional common eigenspace, normalized at the identity
    class, gives the central character values w_j, and
    chi(1)^2 = |G| / sum_j w_j * w_{j*} / |C_j| evaluated in F_L equals the
@@ -31,7 +42,14 @@ from typing import Callable, Sequence
 
 from .errors import ConsistencyError, EngineSplitError, SizeLimitError
 from .landau import is_prime
-from .modlinalg import charpoly, distinct_roots, nullspace, solve_in_span
+from .modlinalg import (
+    charpoly,
+    distinct_roots,
+    hessenberg,
+    hessenberg_eigenspace,
+    mat_vec,
+    solve_in_span,
+)
 
 DEFAULT_ORDER_LIMIT = 5000
 DEFAULT_CLOSURE_LIMIT = 100_000
@@ -46,8 +64,13 @@ class FiniteGroup:
 
     Closure-built groups put the identity at index 0; table-loaded groups
     keep their own labeling, so always go through the `identity` field.
-    `mul` composes by index; the full multiplication table is materialized
-    lazily and only for groups where that is affordable.
+    `mul` composes by index with no call back into the element
+    representation: a table-loaded group looks its product up, and a
+    closure-built group walks the BFS word of the right factor through the
+    right-multiplication tables `_right[t][x] = index(x * generators[t])`.
+    `_words[j]` lists the positions t in `generators`, left to right, of
+    the generators whose product is j: its path in the breadth-first tree
+    of the closure.
     """
 
     elements: list
@@ -56,7 +79,8 @@ class FiniteGroup:
     inverse: list[int]
     generators: list[int]
     name: str = ""
-    _mul_elem: Callable = None
+    _right: list[list[int]] | None = field(default=None, repr=False)
+    _words: list[tuple[int, ...]] | None = field(default=None, repr=False)
     _table: list | None = field(default=None, repr=False)
 
     @property
@@ -66,11 +90,21 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         if self._table is not None:
             return self._table[i][j]
-        return self.index[self._mul_elem(self.elements[i], self.elements[j])]
+        right = self._right
+        for t in self._words[j]:
+            i = right[t][i]
+        return i
 
-    def conjugate(self, g: int, x: int) -> int:
-        """g^-1 x g by index."""
-        return self.mul(self.inverse[g], self.mul(x, g))
+    def right_regular(self, j: int) -> list[int]:
+        """The right-regular permutation x -> x * j as an index list: a
+        table column, or |G| lookups per letter of j's word."""
+        if self._table is not None:
+            return [row[j] for row in self._table]
+        rho = list(range(self.order))
+        for t in self._words[j]:
+            right_t = self._right[t]
+            rho = [right_t[x] for x in rho]
+        return rho
 
     def element_order(self, i: int) -> int:
         k, x = 1, i
@@ -78,12 +112,6 @@ class FiniteGroup:
             x = self.mul(x, i)
             k += 1
         return k
-
-    def exponent(self) -> int:
-        out = 1
-        for i in range(self.order):
-            out = math.lcm(out, self.element_order(i))
-        return out
 
     def multiplication_table(self) -> list[list[int]]:
         if self._table is None:
@@ -169,33 +197,44 @@ def group_from_elements(
     max_order: int = DEFAULT_CLOSURE_LIMIT,
     name: str = "",
 ) -> FiniteGroup:
-    """Close a generating set under an associative composition callback."""
+    """Close a generating set under an associative composition callback.
+
+    Elements are numbered in breadth-first order from the identity.  The
+    products x * g the closure computes anyway are kept as integer tables,
+    and the callback is not used once the closure is done.
+    """
     elements = [identity]
     index = {identity: 0}
     gen_elems = []
     for g in generators:
         if g not in index and g not in gen_elems:
             gen_elems.append(g)
-    queue = [identity]
-    for x in queue:
-        for g in gen_elems:
+    right = [[] for _ in gen_elems]
+    words = [()]
+    for x_idx, x in enumerate(elements):
+        for t, g in enumerate(gen_elems):
             y = mul(x, g)
-            if y not in index:
+            y_idx = index.get(y)
+            if y_idx is None:
                 if len(elements) >= max_order:
                     raise SizeLimitError(
                         f"closure exceeded {max_order} elements"
                     )
-                index[y] = len(elements)
+                y_idx = index[y] = len(elements)
                 elements.append(y)
-                queue.append(y)
+                words.append(words[x_idx] + (t,))
+            right[t].append(y_idx)
+    if not gen_elems:  # trivial group: the identity is its one generator
+        right = [[0]]
     group = FiniteGroup(
         elements=elements,
         index=index,
         identity=0,
         inverse=[],
-        generators=sorted(index[g] for g in gen_elems) or [0],
+        generators=[index[g] for g in gen_elems] or [0],
         name=name,
-        _mul_elem=mul,
+        _right=right,
+        _words=words,
     )
     group.inverse = _inverse_table(group, inv)
     return group
@@ -283,13 +322,26 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
         index={i: i for i in range(n)},
         identity=identity,
         inverse=inverse,
-        generators=list(range(n)),
+        generators=[identity],
         name=name,
-        _mul_elem=None,
         _table=rows,
     )
     group.validate()
+    group.generators = _greedy_generators(group)
     return group
+
+
+def _greedy_generators(group: FiniteGroup) -> list[int]:
+    """A small generating set: each element not yet generated is added.
+    Every new generator at least doubles the subgroup, so there are at most
+    log2 |G| of them."""
+    gens: list[int] = []
+    members = {group.identity}
+    for x in range(group.order):
+        if x not in members:
+            gens.append(x)
+            members = subgroup_closure(group, gens)
+    return gens or [group.identity]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +399,7 @@ def conjugacy_classes(
     n = group.order
     class_of = [-1] * n
     reps, sizes = [], []
-    gens = group.generators
+    conjugations = _generator_conjugations(group)
     for i in range(n):
         if class_of[i] != -1:
             continue
@@ -356,8 +408,8 @@ def conjugacy_classes(
         orbit = [i]
         class_of[i] = c
         for x in orbit:
-            for g in gens:
-                y = group.conjugate(g, x)
+            for conj in conjugations:
+                y = conj[x]
                 if class_of[y] == -1:
                     class_of[y] = c
                     orbit.append(y)
@@ -366,6 +418,17 @@ def conjugacy_classes(
         raise ConsistencyError("class sizes do not sum to the group order")
     inverse_class = tuple(class_of[group.inverse[r]] for r in reps)
     return ConjugacyClasses(tuple(class_of), tuple(reps), tuple(sizes), inverse_class)
+
+
+def _generator_conjugations(group: FiniteGroup) -> list[list[int]]:
+    """For each generator g the map x -> g^-1 x g, as an index list built
+    from x -> x g and inversion: g^-1 x g = ((x^-1 g)^-1) g."""
+    inverse = group.inverse
+    out = []
+    for g in group.generators:
+        right_g = group.right_regular(g)
+        out.append([right_g[inverse[right_g[x_inv]]] for x_inv in inverse])
+    return out
 
 
 def subgroup_closure(group: FiniteGroup, gen_indices: Sequence[int]) -> set[int]:
@@ -386,24 +449,24 @@ def derived_subgroup_index(group: FiniteGroup) -> int:
     """Index of the commutator subgroup, computed as the normal closure of
     the commutators of the generators."""
     gens = group.generators
+    inverse, mul = group.inverse, group.mul
     comms = set()
     for a in gens:
         for b in gens:
-            c = group.mul(
-                group.mul(group.inverse[a], group.inverse[b]), group.mul(a, b)
-            )
+            c = mul(mul(inverse[a], inverse[b]), mul(a, b))
             if c != group.identity:
                 comms.add(c)
     if not comms:
         return group.order
+    conjugations = _generator_conjugations(group)
     closure_gens = list(comms)
     while True:
         subgroup = subgroup_closure(group, closure_gens)
         new = [
             y
             for h in closure_gens
-            for g in gens
-            if (y := group.conjugate(g, h)) not in subgroup
+            for conj in conjugations
+            if (y := conj[h]) not in subgroup
         ]
         if not new:
             break
@@ -427,16 +490,15 @@ def _splitting_prime(order: int, exponent: int) -> int:
 
 def _class_matrices(group: FiniteGroup, cc: ConjugacyClasses) -> list[list[list[int]]]:
     """Structure constants a_ijk with K_i K_j = sum_k a_ijk K_k, laid out
-    as c matrices M_i = (a_ijk)_jk.  One pass of |G| * c products."""
+    as c matrices M_i = (a_ijk)_jk.  a_ijk counts the x in K_i with
+    x^-1 z_k in K_j, read off the right-regular permutation of z_k."""
     c = len(cc.reps)
     mats = [[[0] * c for _ in range(c)] for _ in range(c)]
-    inverse = group.inverse
     class_of = cc.class_of
     for k, zk in enumerate(cc.reps):
-        for x in range(group.order):
-            i = class_of[x]
-            j = class_of[group.mul(inverse[x], zk)]
-            mats[i][j][k] += 1
+        rho = group.right_regular(zk)
+        for x, x_inv in enumerate(group.inverse):
+            mats[class_of[x]][class_of[rho[x_inv]]][k] += 1
     return mats
 
 
@@ -445,27 +507,26 @@ def _refine_space(basis, combo, L, rng):
 
     basis: list of independent vectors, or None meaning the full space.
     Returns a list of bases whose dimensions sum to the input dimension.
+    Eigenvectors come from the Hessenberg form the characteristic
+    polynomial is computed on, and each is checked against the matrix.
     """
     if basis is None:
         rmat = combo
         dim = len(combo)
     else:
         dim = len(basis)
-        images = [
-            [sum(row[t] * vec[t] for t in range(len(vec))) % L for row in combo]
-            for vec in basis
-        ]
+        images = [mat_vec(combo, vec, L) for vec in basis]
         rmat_cols = solve_in_span(basis, images, L)
         rmat = [[rmat_cols[j][i] for j in range(dim)] for i in range(dim)]
-    poly = charpoly(rmat, L)
+    h, steps = hessenberg(rmat, L)
+    poly = charpoly(h, L)  # h is already reduced, so this is the recurrence
     pieces = []
     total = 0
     for z in distinct_roots(poly, L, rng):
-        shifted = [
-            [(rmat[i][j] - (z if i == j else 0)) % L for j in range(dim)]
-            for i in range(dim)
-        ]
-        kernel = nullspace(shifted, L)
+        kernel = hessenberg_eigenspace(h, steps, z, L)
+        for y in kernel:
+            if mat_vec(rmat, y, L) != [z * t % L for t in y]:
+                raise ConsistencyError("eigenspace vector fails rmat v = z v")
         if basis is None:
             vecs = kernel
         else:

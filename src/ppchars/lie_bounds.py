@@ -235,7 +235,8 @@ class ClassicalCase:
             raise ValueError(f"inconsistent rank data in {self}")
 
 _FAMILY_CFG = {
-    # n_min, wreath cyclic factor, torus convention, rhs gcd
+    # (n_min, torus convention); _check_point derives the wreath cyclic
+    # factor and the rhs gcd from the convention
     "bc": (2, "pm"),
     "d": (4, "pm"),
     "2d": (4, "pm"),

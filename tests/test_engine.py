@@ -1,7 +1,51 @@
+import math
+import operator
+import random
+
 import pytest
 
-from ppchars import engine, symmetric
+from ppchars import constructions, engine, symmetric
 from ppchars.errors import SizeLimitError
+
+
+def _perm_compose(a, b):
+    return tuple(map(a.__getitem__, b))
+
+
+def _affine_ops(p):
+    def compose(x, y):
+        return ((x[0] * y[0]) % p, (x[0] * y[1] + x[1]) % p)
+
+    def inverse(x):
+        s = pow(x[0], -1, p)
+        return (s, (-s * x[1]) % p)
+
+    return compose, inverse
+
+
+def _affine_right_multiplier(p):
+    compose, inverse = _affine_ops(p)
+    return (lambda z: lambda x: compose(x, z)), inverse
+
+
+def _criterion_8_corpus():
+    """The engine acceptance corpus, each group with element-level maps
+    z -> (x -> x z) and x -> x^-1.  For a permutation, x z = x o z is
+    itemgetter(*z)(x)."""
+    perm = (lambda z: operator.itemgetter(*z), engine._invert_perm)
+    gamma = constructions.build_gamma_l(5, 19)
+    return [
+        (engine.cyclic_group(12), perm),
+        (engine.dihedral_group(10), perm),
+        (engine.symmetric_group(4), perm),
+        (engine.symmetric_group(5), perm),
+        (engine.alternating_group(5), perm),
+        (engine.alternating_group(6), perm),
+        (constructions.build_frobenius(5, 2)[0], _affine_right_multiplier(5)),
+        (constructions.build_frobenius(17, 4)[0], _affine_right_multiplier(17)),
+        (constructions.build_frobenius(257, 16)[0], _affine_right_multiplier(257)),
+        (constructions.semidirect_product_permutations(gamma.action), perm),
+    ]
 
 
 def test_cyclic():
@@ -147,3 +191,48 @@ def test_group_from_table_identity_not_at_zero():
 def test_trivial_group():
     g = engine.cyclic_group(1)
     assert engine.irreducible_degrees(g).degrees == (1,)
+
+
+def test_index_mul_and_right_regular_match_callback():
+    gamma = constructions.build_gamma_l(5, 19)
+    cases = [
+        (engine.alternating_group(6), _perm_compose),
+        (constructions.build_frobenius(17, 4)[0], _affine_ops(17)[0]),
+        (gamma.action.group, lambda x, y: constructions._mat_mul(x, y, 19)),
+    ]
+    rng = random.Random(5)
+    for g, compose in cases:
+        elems, index = g.elements, g.index
+        for _ in range(300):
+            i, j = rng.randrange(g.order), rng.randrange(g.order)
+            assert g.mul(i, j) == index[compose(elems[i], elems[j])]
+        for j in rng.sample(range(g.order), 5):
+            assert g.right_regular(j) == [
+                index[compose(x, elems[j])] for x in elems
+            ]
+
+
+def test_class_matrices_match_tuple_formula():
+    """a_ijk = #{x in K_i : x^-1 z_k in K_j}, with x^-1 z_k formed from the
+    elements themselves rather than from the index tables."""
+    for g, (right_multiplier, invert) in _criterion_8_corpus():
+        cc = engine.conjugacy_classes(g)
+        c = len(cc.reps)
+        expected = [[[0] * c for _ in range(c)] for _ in range(c)]
+        inverses = [invert(x) for x in g.elements]
+        for k, zk in enumerate(cc.reps):
+            times_z = right_multiplier(g.elements[zk])
+            for x, x_inv in enumerate(inverses):
+                j = cc.class_of[g.index[times_z(x_inv)]]
+                expected[cc.class_of[x]][j][k] += 1
+        assert engine._class_matrices(g, cc) == expected, g.name
+
+
+def test_table_groups_get_small_generating_sets():
+    for g in (engine.dihedral_group(8), engine.symmetric_group(4),
+              engine.alternating_group(5), engine.cyclic_group(30)):
+        h = engine.group_from_table(g.multiplication_table())
+        assert engine.subgroup_closure(h, h.generators) == set(range(h.order))
+        assert 1 <= len(h.generators) <= math.log2(h.order)
+        # classes do not depend on the generating set
+        assert engine.conjugacy_classes(h) == engine.conjugacy_classes(g)

@@ -92,3 +92,59 @@ def test_solve_in_span():
     assert coeffs == [[2, 3], [1, 1]]
     with pytest.raises(ConsistencyError):
         ml.solve_in_span(basis, [[0, 0, 1]], P)
+
+
+def _conjugate_by_random(d, p, rng):
+    """s^-1 d s for a random invertible s, as plain lists."""
+    n = len(d)
+    while True:
+        s = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        try:
+            s_inv = ml.mat_inv(s, p)
+        except ValueError:
+            continue
+        return ml.mat_mul(ml.mat_mul(s_inv, d, p), s, p)
+
+
+def _rank(vectors, p):
+    if not vectors:
+        return 0
+    return len(vectors[0]) - len(ml.nullspace(vectors, p))
+
+
+def test_hessenberg_eigenspace_matches_nullspace():
+    rng = random.Random(17)
+    p = 7
+    cases = []
+    for _ in range(40):  # dense random matrices
+        n = rng.randrange(1, 7)
+        cases.append([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    for _ in range(30):  # repeated eigenvalues, eigenspaces of dimension >= 2
+        n = rng.randrange(2, 8)
+        diag = [rng.choice((0, 3, 5)) for _ in range(n)]
+        d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5 and n >= 2:
+            d[0][1] = 1  # a Jordan block next to the semisimple part
+        cases.append(_conjugate_by_random(d, p, rng))
+    cases.append(ml.mat_identity(5))  # H = I: every subdiagonal is zero
+    cases.append([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 1, 2]])
+
+    reduced = big_kernel = 0
+    for a in cases:
+        n = len(a)
+        h, steps = ml.hessenberg(a, p)
+        assert all(h[i][j] == 0 for i in range(n) for j in range(i - 1))
+        assert ml.charpoly(h, p) == ml.charpoly(a, p)
+        reduced += any(h[i + 1][i] == 0 for i in range(n - 1))
+        for z in range(p):
+            shifted = [[(a[i][j] - (z if i == j else 0)) % p for j in range(n)]
+                       for i in range(n)]
+            expected = ml.nullspace(shifted, p)
+            got = ml.hessenberg_eigenspace(h, steps, z, p)
+            assert len(got) == len(expected)
+            assert _rank(got, p) == len(got)
+            for v in got:
+                assert ml.mat_vec(a, v, p) == [z * x % p for x in v]
+            big_kernel += len(got) >= 2
+    # the corpus really exercises a reduced H and multi-dimensional kernels
+    assert reduced >= 10 and big_kernel >= 10
