@@ -14,11 +14,12 @@ Two families are built here, each with two independent degree computations
   Frobenius map.  Requires ord_p(r) = m (see find_construction_prime).
 
 The Clifford count works on the dual space: A acts on linear functionals
-by inverse-transpose matrices; each dual orbit representative with inertia
-subgroup I contributes the degrees [A:I] * d over the irreducible degrees
-d of I.  Because gcd(|A|, |V|) = 1 every invariant functional extends, so
-this is exact, and only orbit/stabilizer data is ever touched (no complex
-numbers, no character values).
+by inverse-transpose matrices; each dual orbit with inertia subgroup I
+contributes the degrees [A:I] * d over the irreducible degrees d of I.
+Because gcd(|A|, |V|) = 1 every invariant functional extends, so this is
+exact.  The orbits are counted by stabilizer type on the lattice of
+intersections of fixed spaces, so no functional is ever visited, and only
+orbit/stabilizer data is touched (no complex numbers, no character values).
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .errors import ConsistencyError, SearchExhaustedError, SizeLimitError
 from .landau import is_perfect_square, is_prime, multiplicative_order, primes_up_to
 from .report import Report, timer
 
-DUAL_SWEEP_LIMIT = 300_000
-FPF_EXHAUSTIVE_LIMIT = 2_000_000
+# most characters of V x| A whose degrees are listed one by one
+CHARACTER_LIMIT = 250_000
 
 Matrix = tuple  # tuple of row tuples over F_ell
 
@@ -151,26 +152,33 @@ class LinearGroupAction:
     matrices: tuple[Matrix, ...]
 
     def validate(self) -> None:
+        """Check that g -> matrices[g] is a homomorphism, exactly.
+
+        The checks are M(e) = I and M(g j) = M(g) M(j) for every generator g
+        and every element j.  They prove M(i j) = M(i) M(j) for all i, j by
+        induction on the length of a word for i in the generators, which
+        exists because the generators generate the finite group: for i = e
+        this is M(j) = I M(j), and for i = g i' the checked identity, the
+        induction hypothesis at (i', j) and the checked identity at (g, i')
+        give M(g i' j) = M(g) M(i' j) = M(g) M(i') M(j) = M(g i') M(j).
+        """
         if math.gcd(self.group.order, self.ell) != 1:
             raise ValueError("group order not coprime to the characteristic")
-        n = self.group.order
-        pairs = (
-            ((i, j) for i in range(n) for j in range(n))
-            if n <= 512
-            else ((i, j) for i in self.group.generators for j in range(n))
-        )
-        for i, j in pairs:
-            left = self.matrices[self.group.mul(i, j)]
-            right = _mat_mul(self.matrices[i], self.matrices[j], self.ell)
-            if left != right:
-                raise ConsistencyError("matrices do not define a homomorphism")
+        if self.matrices[self.group.identity] != _mat_identity(self.dim):
+            raise ConsistencyError("the identity does not act as I")
+        for g in self.group.generators:
+            for j in range(self.group.order):
+                left = self.matrices[self.group.mul(g, j)]
+                right = _mat_mul(self.matrices[g], self.matrices[j], self.ell)
+                if left != right:
+                    raise ConsistencyError("matrices do not define a homomorphism")
 
 
 def _mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
+    cols = tuple(zip(*b))
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) % p
-              for j in range(len(b[0])))
-        for i in range(len(a))
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+        for row in a
     )
 
 
@@ -279,9 +287,8 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
     """Construct V = F_{r^m} with the order-p multiplication subgroup P and
     the Frobenius map, and verify the Frobenius-action invariants:
 
-    * P acts fixed point freely on V \\ {0} (exhaustively when |P| * |V|
-      is small, else by checking that zeta^i - 1 is invertible for every
-      0 < i < p, which is the same statement);
+    * P acts fixed point freely on V \\ {0}: zeta^i - 1 has zero kernel
+      for every 0 < i < p;
     * the Frobenius map normalizes P, centralizes none of P \\ {1}, and
       C_A(P) = P.
     """
@@ -353,29 +360,18 @@ def _columns_to_matrix(cols) -> Matrix:
 
 def _verify_gamma_l_invariants(p, m, r, mult_matrix, frob_matrix, group) -> None:
     dim = len(mult_matrix)
-    size_v = r**dim
     identity = _mat_identity(dim)
 
     # P acts fixed point freely on nonzero vectors
     power = identity
-    if (p - 1) * size_v <= FPF_EXHAUSTIVE_LIMIT:
-        vectors = list(_all_vectors(r, dim))[1:]  # skip zero
-        for _ in range(1, p):
-            power = _mat_mul(power, mult_matrix, r)
-            for v in vectors:
-                if _mat_vec(power, v, r) == v:
-                    raise ConsistencyError(
-                        f"zeta-power fixes nonzero vector {v}"
-                    )
-    else:
-        for _ in range(1, p):
-            power = _mat_mul(power, mult_matrix, r)
-            shifted = [
-                [(power[i][j] - identity[i][j]) % r for j in range(dim)]
-                for i in range(dim)
-            ]
-            if ml.nullspace(shifted, r):
-                raise ConsistencyError("zeta-power has nonzero fixed space")
+    for _ in range(1, p):
+        power = _mat_mul(power, mult_matrix, r)
+        shifted = [
+            [(power[i][j] - identity[i][j]) % r for j in range(dim)]
+            for i in range(dim)
+        ]
+        if ml.nullspace(shifted, r):
+            raise ConsistencyError("zeta-power has nonzero fixed space")
 
     # Frobenius normalizes P: F M F^-1 = M^r
     frob_inv = _mat_inv(frob_matrix, r)
@@ -423,13 +419,6 @@ def _all_vectors(ell: int, dim: int):
         yield tuple(v)
 
 
-def _vector_code(v: tuple, ell: int) -> int:
-    code = 0
-    for d in reversed(v):
-        code = code * ell + d
-    return code
-
-
 # ---------------------------------------------------------------------------
 # Clifford count on the dual space
 
@@ -443,65 +432,90 @@ class CliffordCount:
 def clifford_pprime_count(
     action: LinearGroupAction,
     p: int,
-    dual_limit: int = DUAL_SWEEP_LIMIT,
     engine_seed: int = 0,
 ) -> CliffordCount:
     """Degrees of V x| A from dual orbits and inertia subgroups.
 
-    For each orbit of A on Hom(V, F_ell) (vectors paired by dot product
-    against a fixed nontrivial additive character) with representative
-    lam and inertia subgroup I, the contribution is [A:I] * d for d over
-    the irreducible degrees of I.  Returns the count of degrees coprime
-    to p together with the full multiset.
+    A acts on the dual space Hom(V, F_ell) by the inverse-transpose
+    matrices D_g (a functional lam is paired with V by dot product against
+    a fixed nontrivial additive character).  An orbit of functionals with
+    inertia subgroup I contributes the degrees [A:I] * d for d over the
+    irreducible degrees of I.
+
+    No functional is visited.  The stabilizer of lam is {g : lam in W_g},
+    W_g = ker(D_g - I), so it is the pointwise stabilizer of the smallest
+    intersection W of fixed spaces that contains lam.  On the lattice of
+    these intersections, the number f(W) of functionals whose smallest one
+    is W follows by Moebius inversion (P. Hall 1936):
+    f(W) = ell^dim W - sum of f(W') over lattice members W' < W.  A
+    permutes the lattice and conjugates the stabilizers, so there are
+    (sum of f over the conjugates of H) / [A:H] orbits with inertia
+    subgroup conjugate to H, and the degrees of H are computed once per
+    conjugacy class.  Checked exactly: the f sum to |V|, each orbit count
+    is an integer, and the squared degrees sum to |V| * |A|.
+
+    Returns the count of degrees coprime to p, the full multiset, and one
+    row per orbit.  Raises SizeLimitError before listing the degrees when
+    there are more than CHARACTER_LIMIT of them.
     """
     action.validate()
     ell, dim, group = action.ell, action.dim, action.group
     size_v = ell**dim
-    if size_v > dual_limit:
-        raise SizeLimitError(
-            f"dual space of size {size_v} exceeds sweep limit {dual_limit}"
-        )
     n = group.order
+    # inverse transpose; validate() has shown that M(g^-1) = M(g)^-1
     dual_mats = [
-        tuple(zip(*_mat_inv(mat, ell)))  # inverse transpose
-        for mat in action.matrices
+        ml.mat_transpose(action.matrices[group.inverse[g]]) for g in range(n)
     ]
-    dual_mats = [tuple(tuple(row) for row in mat) for mat in dual_mats]
+    reps, class_size, rep_stabilizer = _fixed_space_lattice(group, dual_mats, ell)
+    conjugates = [_conjugates(group, h) for h in rep_stabilizer]
+    if [len(c) for c in conjugates] != class_size:
+        raise ConsistencyError("space orbits and stabilizer classes differ")
 
-    gen_mats = [dual_mats[g] for g in group.generators]
-    visited = bytearray(size_v)
+    # smallest spaces first, so every W' < W is counted before W
+    order = sorted(range(len(reps)), key=lambda t: len(reps[t]))
+    exact = [0] * len(reps)
+    for t in order:
+        below = sum(
+            exact[u] * sum(1 for h in conjugates[u] if h > rep_stabilizer[t])
+            for u in range(len(reps))
+        )
+        exact[t] = ell ** len(reps[t]) - below
+        if exact[t] < 0:
+            raise ConsistencyError("negative Moebius count of functionals")
+    if sum(class_size[t] * exact[t] for t in order) != size_v:
+        raise ConsistencyError("functional counts do not sum to |V|")
+
+    types = []  # (inertia indices, orbit size, number of orbits)
+    for t in order:
+        index = n // len(rep_stabilizer[t])
+        if class_size[t] * exact[t] % index:
+            raise ConsistencyError("orbit-stabilizer identity fails")
+        if exact[t]:
+            types.append((sorted(rep_stabilizer[t]), index,
+                          class_size[t] * exact[t] // index))
+    # most orbits first, so an oversized count stops after a few small groups
+    types.sort(key=lambda item: len(item[0]))
+
+    inertia_degrees = []
+    characters = 0
+    for indices, index, orbits in types:
+        inertia = _subgroup_from_indices(group, indices)
+        inertia_degrees.append(irreducible_degrees(inertia, seed=engine_seed))
+        characters += orbits * len(inertia_degrees[-1].degrees)
+        if characters > CHARACTER_LIMIT:
+            raise SizeLimitError(
+                f"V x| A has more than {CHARACTER_LIMIT} irreducible "
+                "characters to list"
+            )
+
     degrees: list[int] = []
     orbit_rows = []
-    vectors = list(_all_vectors(ell, dim))
-    for code in range(size_v):
-        if visited[code]:
-            continue
-        orbit = [code]
-        visited[code] = 1
-        for vcode in orbit:
-            vec = vectors[vcode]
-            for gm in gen_mats:
-                w = _vector_code(_mat_vec(gm, vec, ell), ell)
-                if not visited[w]:
-                    visited[w] = 1
-                    orbit.append(w)
-        rep = vectors[code]
-        inertia_idx = [
-            i for i in range(n) if _mat_vec(dual_mats[i], rep, ell) == rep
-        ]
-        if len(orbit) * len(inertia_idx) != n:
-            raise ConsistencyError("orbit-stabilizer identity fails")
-        inertia = _subgroup_from_indices(group, inertia_idx)
-        inertia_degrees = irreducible_degrees(inertia, seed=engine_seed)
-        index = len(orbit)
-        added = [index * d for d in inertia_degrees.degrees]
-        degrees.extend(added)
-        orbit_rows.append(
-            {
-                "orbit_size": len(orbit),
-                "inertia_order": inertia.order,
-                "degrees": added,
-            }
+    for (indices, index, orbits), inertia in zip(types, inertia_degrees):
+        added = [index * d for d in inertia.degrees]
+        degrees.extend(added * orbits)
+        orbit_rows.extend(
+            {"orbit_size": index, "inertia_order": len(indices), "degrees": list(added)}
+            for _ in range(orbits)
         )
     degrees.sort()
     multiset = DegreeMultiset(tuple(degrees))
@@ -514,6 +528,91 @@ def clifford_pprime_count(
         degrees=multiset,
         orbit_rows=tuple(orbit_rows),
     )
+
+
+def _fixed_space_lattice(group: FiniteGroup, mats: list, ell: int):
+    """Every intersection of the fixed spaces ker(M_g - I), up to A.
+
+    A space is keyed by the reduced row echelon form of a basis.  Returns
+    one representative R per A-orbit of intersections, the orbit sizes,
+    and the pointwise stabilizers {g : M_g w = w on R}.
+
+    Only representatives are intersected with the fixed spaces: these form
+    an A-invariant set, so x R meets F in x (R meets x^-1 F), and the
+    orbits of such meets are every intersection.  R lies in ker(M_g - I)
+    exactly when their meet is R, which gives the stabilizer of R.
+    """
+    dim = len(mats[0])
+    equations = {}  # fixed space -> M_g - I for one g fixing exactly it
+    fixers: dict[tuple, list[int]] = {}
+    for g, mat in enumerate(mats):
+        shifted = [[(mat[i][j] - (i == j)) % ell for j in range(dim)]
+                   for i in range(dim)]
+        key = _span_key(ml.nullspace(shifted, ell), ell)
+        equations.setdefault(key, shifted)
+        fixers.setdefault(key, []).append(g)
+
+    reps: list[tuple] = []
+    class_size: list[int] = []
+    known: set[tuple] = set()
+
+    def add_orbit(space):
+        orbit = [space]
+        known.add(space)
+        for w in orbit:
+            for g in group.generators:
+                image = _span_key([ml.mat_vec(mats[g], v, ell) for v in w], ell)
+                if image not in known:
+                    known.add(image)
+                    orbit.append(image)
+        reps.append(space)
+        class_size.append(len(orbit))
+
+    add_orbit(_span_key(ml.mat_identity(dim), ell))
+    stabilizers = []
+    for rep in reps:
+        stab = []
+        for key, shifted in equations.items():
+            meet = _intersect(rep, shifted, ell)
+            if meet == rep:
+                stab.extend(fixers[key])
+            elif meet not in known:
+                add_orbit(meet)
+        stabilizers.append(frozenset(stab))
+    return reps, class_size, stabilizers
+
+
+def _span_key(vectors: list, ell: int) -> tuple:
+    rows, _ = ml.row_reduce(vectors, ell)
+    return tuple(tuple(row) for row in rows)
+
+
+def _intersect(basis: tuple, equations: list, ell: int) -> tuple:
+    """The vectors of span(basis) that the equations send to zero."""
+    if not basis:
+        return basis
+    values = [[sum(e * b for e, b in zip(row, vec)) % ell for vec in basis]
+              for row in equations]
+    coeffs = ml.nullspace(values, ell)
+    return _span_key(
+        [[sum(c * vec[i] for c, vec in zip(cs, basis)) % ell
+          for i in range(len(basis[0]))] for cs in coeffs],
+        ell,
+    )
+
+
+def _conjugates(group: FiniteGroup, subgroup: frozenset) -> list[frozenset]:
+    """The A-conjugacy class of a subgroup given by element indices."""
+    mul, inverse = group.mul, group.inverse
+    found = [subgroup]
+    seen = {subgroup}
+    for h in found:
+        for g in group.generators:
+            image = frozenset(mul(mul(g, x), inverse[g]) for x in h)
+            if image not in seen:
+                seen.add(image)
+                found.append(image)
+    return found
 
 
 def _subgroup_from_indices(group: FiniteGroup, indices: list[int]) -> FiniteGroup:

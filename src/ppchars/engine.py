@@ -253,6 +253,11 @@ def _inverse_table(group: FiniteGroup, inv: Callable | None) -> list[int]:
         path = [i]
         x = group.mul(i, i)
         while x != group.identity:
+            if len(path) == n:
+                raise ConsistencyError(
+                    f"no power of element {i} up to the group order is the "
+                    "identity: the composition is not a group law"
+                )
             path.append(x)
             x = group.mul(x, i)
         k = len(path) + 1  # order of element i

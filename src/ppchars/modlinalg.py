@@ -54,14 +54,17 @@ def mat_inv(a: Matrix, p: int) -> Matrix:
     return [row[n:] for row in aug]
 
 
-def nullspace(a: Matrix, p: int) -> list[list]:
-    """Basis of the right kernel of a (rows x cols) matrix over F_p."""
-    rows = [list(r) for r in a]
-    nrow, ncol = len(rows), len(rows[0])
+def row_reduce(a: Matrix, p: int) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form of a over F_p: its nonzero rows and their
+    pivot columns.  The rows depend only on the row space of a."""
+    rows = [[x % p for x in r] for r in a]
+    nrow, ncol = len(rows), len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for col in range(ncol):
-        piv = next((i for i in range(r, nrow) if rows[i][col] % p), None)
+        if r == nrow:
+            break
+        piv = next((i for i in range(r, nrow) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
@@ -73,8 +76,13 @@ def nullspace(a: Matrix, p: int) -> list[list]:
                 rows[i] = [(x - t * y) % p for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
-        if r == nrow:
-            break
+    return rows[:r], pivots
+
+
+def nullspace(a: Matrix, p: int) -> list[list]:
+    """Basis of the right kernel of a (rows x cols) matrix over F_p."""
+    ncol = len(a[0])
+    rows, pivots = row_reduce(a, p)
     free = [c for c in range(ncol) if c not in pivots]
     basis = []
     for fc in free:

@@ -1,7 +1,20 @@
+import contextlib
+import io
+import json
+from collections import Counter
+
 import pytest
 
 from ppchars import constructions, engine
-from ppchars.errors import ConsistencyError, SearchExhaustedError, SizeLimitError
+from ppchars.cli import main
+from ppchars.errors import ConsistencyError, SearchExhaustedError
+
+
+def _run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
 
 
 def test_build_frobenius_small():
@@ -114,16 +127,105 @@ def test_clifford_frobenius_paths():
         (1, 1, 1, 1, 4, 4, 4, 4)
 
 
-def test_clifford_dual_limit():
-    action = constructions.frobenius_action(5, 2)
-    with pytest.raises(SizeLimitError):
-        constructions.clifford_pprime_count(action, 5, dual_limit=3)
+def _sweep_orbit_rows(action):
+    """Reference for the Clifford count: visit every functional, take the
+    dual orbits by breadth-first search over the generators, and read each
+    inertia subgroup off its orbit's first vector."""
+    ell, dim, group = action.ell, action.dim, action.group
+    n = group.order
+    dual = [tuple(zip(*constructions._mat_inv(mat, ell)))
+            for mat in action.matrices]
+    vectors = list(constructions._all_vectors(ell, dim))
+    code = {v: c for c, v in enumerate(vectors)}
+    visited = bytearray(len(vectors))
+    inertia_degrees = {}
+    rows = []
+    for start in range(len(vectors)):
+        if visited[start]:
+            continue
+        visited[start] = 1
+        orbit = [start]
+        for c in orbit:
+            for g in group.generators:
+                w = code[constructions._mat_vec(dual[g], vectors[c], ell)]
+                if not visited[w]:
+                    visited[w] = 1
+                    orbit.append(w)
+        rep = vectors[start]
+        inertia = tuple(
+            g for g in range(n) if constructions._mat_vec(dual[g], rep, ell) == rep
+        )
+        assert len(orbit) * len(inertia) == n
+        if inertia not in inertia_degrees:
+            subgroup = constructions._subgroup_from_indices(group, list(inertia))
+            inertia_degrees[inertia] = engine.irreducible_degrees(subgroup).degrees
+        rows.append((len(orbit), len(inertia),
+                     tuple(len(orbit) * d for d in inertia_degrees[inertia])))
+    return rows
+
+
+def _trivial_action():
+    return constructions.LinearGroupAction(
+        3, 1, engine.cyclic_group(2), (((1,),), ((1,),)))
+
+
+@pytest.mark.parametrize("make_action, p", [
+    (lambda: constructions.build_gamma_l(5, 19).action, 5),
+    (lambda: constructions.build_gamma_l(5, 199).action, 5),
+    (lambda: constructions.build_gamma_l(
+        17, constructions.find_construction_prime(17)).action, 17),
+    (lambda: constructions.frobenius_action(5, 2), 5),
+    (lambda: constructions.frobenius_action(17, 4), 17),
+    (_trivial_action, 5),
+], ids=["gamma_5_19", "gamma_5_199", "gamma_17", "frobenius_5_2",
+        "frobenius_17_4", "trivial"])
+def test_clifford_matches_dual_sweep(make_action, p):
+    action = make_action()
+    result = constructions.clifford_pprime_count(action, p)
+    reference = _sweep_orbit_rows(action)
+    assert Counter(
+        (row["orbit_size"], row["inertia_order"], tuple(row["degrees"]))
+        for row in result.orbit_rows
+    ) == Counter(reference)
+    assert result.degrees.degrees == tuple(
+        sorted(d for _, _, degrees in reference for d in degrees))
+
+
+def test_solvable_witness_p37():
+    code, report = _run_cli(["solvable", "--p", "37"])
+    row = report["rows"][0]
+    assert code == 0 and row["r"] == 11
+    assert row["pprime_count"] == 12
+    assert row["sum_of_squares"] == row["order"] == 11**6 * 37 * 6
+
+
+def test_clifford_size_limit_p101():
+    # 17^10 functionals in about 2 * 10^9 orbits: refused before listing
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["solvable", "--p", "101"])
+    assert code == 1
+    assert err.getvalue() == (
+        f"error: V x| A has more than {constructions.CHARACTER_LIMIT} "
+        "irreducible characters to list\n")
 
 
 def test_action_validation_rejects_wrong_characteristic():
     c2 = engine.cyclic_group(2)
     action = constructions.LinearGroupAction(2, 1, c2, (((1,),), ((1,),)))
     with pytest.raises(ValueError):
+        action.validate()
+
+
+def test_action_validation_rejects_non_homomorphism():
+    # 2 has order 4 mod 5, so g -> 2^k on C3 fails only at g * g^2 = e
+    c3 = engine.cyclic_group(3)
+    action = constructions.LinearGroupAction(5, 1, c3, (((1,),), ((2,),), ((4,),)))
+    with pytest.raises(ConsistencyError, match="homomorphism"):
+        action.validate()
+    c1 = engine.cyclic_group(1)
+    action = constructions.LinearGroupAction(5, 1, c1, (((0,),),))
+    with pytest.raises(ConsistencyError, match="identity"):
         action.validate()
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ppchars import constructions, engine, symmetric
-from ppchars.errors import SizeLimitError
+from ppchars.errors import ConsistencyError, SizeLimitError
 
 
 def _perm_compose(a, b):
@@ -154,6 +154,12 @@ def test_closure_limit_guard():
     swap = (1, 0, 2, 3, 4, 5, 6, 7, 8)
     with pytest.raises(SizeLimitError):
         engine.group_from_permutations([cycle, swap], max_order=1000)
+
+
+def test_closure_rejects_a_composition_without_inverses():
+    # max on {0, 1} closes with identity 0, but no power of 1 is 0
+    with pytest.raises(ConsistencyError):
+        engine.group_from_elements([1], max, 0)
 
 
 def test_group_from_table_roundtrip():

@@ -148,3 +148,22 @@ def test_hessenberg_eigenspace_matches_nullspace():
             big_kernel += len(got) >= 2
     # the corpus really exercises a reduced H and multi-dimensional kernels
     assert reduced >= 10 and big_kernel >= 10
+
+
+def test_row_reduce_depends_only_on_row_space():
+    p = 7
+    rng = random.Random(3)
+    for _ in range(60):
+        k, n = rng.randrange(1, 4), rng.randrange(1, 6)
+        base = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+        mixed = []
+        for _ in range(k + 2):
+            coeffs = [rng.randrange(p) for _ in base]
+            mixed.append([sum(c * b[i] for c, b in zip(coeffs, base)) % p
+                          for i in range(n)])
+        rows, pivots = ml.row_reduce(base, p)
+        assert ml.row_reduce(mixed + base[::-1], p) == (rows, pivots)
+        assert len(rows) == _rank(base, p)
+        for row, col in zip(rows, pivots):
+            assert row[col] == 1
+            assert [other[col] for other in rows].count(0) == len(rows) - 1
