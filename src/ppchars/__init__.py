@@ -8,6 +8,9 @@ witnesses, inequality grids for groups of Lie type, and the Diophantine
 classification sweep for self-centralizing tori of prime order.
 """
 
+# set before the submodules load: report.py reads it at import time
+__version__ = "0.1.0"
+
 from .engine import (
     DegreeMultiset,
     FiniteGroup,
@@ -33,8 +36,6 @@ from .symmetric import (
     p_adic_expansion,
     verify_symmetric_bounds,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "DegreeMultiset",

@@ -18,8 +18,6 @@ from . import constructions, engine, landau, lie_bounds, symmetric, torus_search
 from .errors import ConsistencyError
 from .report import Report, timer
 
-VERSION = "0.1.0"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -105,8 +103,10 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an unreadable --group file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report.seed = args.seed
-    report.version = VERSION
     if getattr(args, "failures_only", False):
         report.rows = [r for r in report.rows if r.get("ok") is False]
     print(report.to_json() if args.format == "json" else report.to_csv())
@@ -201,16 +201,19 @@ def _cmd_frobenius(args) -> Report:
         group, params = constructions.build_frobenius(p, m)
         closed = constructions.frobenius_degree_multiset(params)
         engine_degrees = engine.irreducible_degrees(group, seed=args.seed)
-        ok = closed.degrees == engine_degrees.degrees
+        agrees = closed.degrees == engine_degrees.degrees
+        pprime_count = closed.pprime_count(p)
+        # at m = sqrt(p-1) the count must attain the bound 2*sqrt(p-1)
+        attained = m * m != p - 1 or pprime_count == 2 * m
         row = {
             "p": p,
             "m": m,
             "order": group.order,
             "classes": len(engine_degrees.degrees),
             "degrees": list(closed.degrees),
-            "pprime_count": closed.pprime_count(p),
-            "engine_agrees": ok,
-            "ok": ok,
+            "pprime_count": pprime_count,
+            "engine_agrees": agrees,
+            "ok": agrees and attained,
         }
     return Report("frobenius", {"p": p, "m": m}, [row], elapsed_seconds=t.elapsed)
 
@@ -298,26 +301,11 @@ def _cmd_verify_all(args) -> Report:
 
         record("verify-symmetric",
                symmetric.verify_symmetric_bounds(25 if full else 15))
-        fro_primes = (5, 17, 37, 101, 197, 257) if full else (5, 17)
-        for p in fro_primes:
-            m = math.isqrt(p - 1)
-            group, params = constructions.build_frobenius(p, m)
-            closed = constructions.frobenius_degree_multiset(params)
-            ok = closed.pprime_count(p) == 2 * m
-            if group.order <= 5000 and (not full or p in (5, 17, 37, 257)):
-                ok = ok and (engine.irreducible_degrees(group, seed=args.seed).degrees
-                             == closed.degrees)
-            rows.append({"check": f"frobenius p={p}", "status": "pass" if ok else "fail",
-                         "rows": 1, "failures": 0 if ok else 1, "ok": ok})
-        built = constructions.build_gamma_l(5, 19)
-        clifford = constructions.clifford_pprime_count(built.action, 5,
-                                                       engine_seed=args.seed)
-        ok = clifford.pprime_count == 4
-        if full:
-            check = constructions.engine_cross_check(built, 5, seed=args.seed)
-            ok = ok and check.status == "pass"
-        rows.append({"check": "solvable p=5", "status": "pass" if ok else "fail",
-                     "rows": 1, "failures": 0 if ok else 1, "ok": ok})
+        for p in (5, 17, 37, 101, 197, 257) if full else (5, 17):
+            record(f"frobenius p={p}", _cmd_frobenius(
+                argparse.Namespace(p=p, m=None, seed=args.seed)))
+        record("solvable p=5", _cmd_solvable(
+            argparse.Namespace(p=5, r="19", cross_check=full, seed=args.seed)))
         record("table2", lie_bounds.verify_table2())
         if full:
             record("table1", lie_bounds.table1_report())

@@ -37,13 +37,17 @@ from .engine import (
     irreducible_degrees,
 )
 from .errors import ConsistencyError, SearchExhaustedError, SizeLimitError
-from .landau import is_perfect_square, is_prime, multiplicative_order, primes_up_to
+from .landau import (
+    is_perfect_square,
+    is_prime,
+    multiplicative_order,
+    prime_divisors,
+    primes_up_to,
+)
 from .report import Report, timer
 
 # most characters of V x| A whose degrees are listed one by one
 CHARACTER_LIMIT = 250_000
-
-Matrix = tuple  # tuple of row tuples over F_ell
 
 
 @dataclass(frozen=True)
@@ -70,9 +74,7 @@ def build_frobenius(p: int, m: int) -> tuple[FiniteGroup, FrobeniusParams]:
         raise ValueError(f"{p} is not prime")
     if m < 1 or (p - 1) % m != 0:
         raise ValueError(f"no element of order {m} in (Z/{p})^*")
-    a = next(
-        c for c in range(1, p) if multiplicative_order(c, p) == m
-    )
+    a = _order_m_element(p, m)
     params = FrobeniusParams(p, m, a)
 
     def mul(x, y):
@@ -149,7 +151,7 @@ class LinearGroupAction:
     ell: int
     dim: int
     group: FiniteGroup
-    matrices: tuple[Matrix, ...]
+    matrices: tuple[ml.Matrix, ...]
 
     def validate(self) -> None:
         """Check that g -> matrices[g] is a homomorphism, exactly.
@@ -164,50 +166,29 @@ class LinearGroupAction:
         """
         if math.gcd(self.group.order, self.ell) != 1:
             raise ValueError("group order not coprime to the characteristic")
-        if self.matrices[self.group.identity] != _mat_identity(self.dim):
+        if self.matrices[self.group.identity] != ml.mat_identity(self.dim):
             raise ConsistencyError("the identity does not act as I")
         for g in self.group.generators:
             for j in range(self.group.order):
                 left = self.matrices[self.group.mul(g, j)]
-                right = _mat_mul(self.matrices[g], self.matrices[j], self.ell)
+                right = ml.mat_mul(self.matrices[g], self.matrices[j], self.ell)
                 if left != right:
                     raise ConsistencyError("matrices do not define a homomorphism")
-
-
-def _mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
-        for row in a
-    )
-
-
-def _mat_vec(a: Matrix, v: tuple, p: int) -> tuple:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) % p for row in a)
-
-
-def _mat_identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_inv(a: Matrix, p: int) -> Matrix:
-    return tuple(tuple(row) for row in ml.mat_inv([list(r) for r in a], p))
 
 
 def frobenius_action(p: int, m: int) -> LinearGroupAction:
     """The complement C_m of H(p, m) acting on V = Z/p by multiplication."""
     a = _order_m_element(p, m)
-    gen: Matrix = ((a % p,),)
 
     def mul(x, y):
-        return _mat_mul(x, y, p)
+        return ml.mat_mul(x, y, p)
 
-    group = group_from_elements([gen], mul, _mat_identity(1), name=f"C{m} on Z/{p}")
+    group = group_from_elements(
+        [((a % p,),)], mul, ml.mat_identity(1), name=f"C{m} on Z/{p}"
+    )
     if group.order != m:
         raise ConsistencyError("complement closure has wrong order")
-    action = LinearGroupAction(p, 1, group, tuple(group.elements))
-    action.validate()
-    return action
+    return LinearGroupAction(p, 1, group, tuple(group.elements))
 
 
 @dataclass(frozen=True)
@@ -219,21 +200,16 @@ class GammaLConstruction:
     m: int
     r: int
     modulus: tuple[int, ...]  # monic irreducible of degree m over F_r
-    mult_matrix: Matrix  # multiplication by zeta
-    frobenius_matrix: Matrix
+    mult_matrix: ml.Matrix  # multiplication by zeta
+    frobenius_matrix: ml.Matrix
     action: LinearGroupAction
 
 
 def _find_irreducible(r: int, m: int) -> list[int]:
     """Lexicographically smallest monic irreducible of degree m over F_r,
     ordering by the base-r encoding of the low coefficient tuple."""
-    for code in range(r**m):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            c, d = divmod(c, r)
-            coeffs.append(d)
-        poly = coeffs + [1]
+    for coeffs in _all_vectors(r, m):
+        poly = list(coeffs) + [1]
         if _is_irreducible(poly, r, m):
             return poly
     raise ConsistencyError(f"no irreducible of degree {m} over F_{r}")
@@ -244,26 +220,12 @@ def _is_irreducible(poly: list[int], r: int, m: int) -> bool:
     xq = ml.poly_powmod(x, r**m, poly, r)
     if ml.poly_sub(xq, x, r) != [0]:
         return False
-    for ell in _prime_factors(m):
+    for ell in prime_divisors(m):
         xe = ml.poly_powmod(x, r ** (m // ell), poly, r)
         g = ml.poly_gcd(ml.poly_sub(xe, x, r), poly, r)
         if ml.poly_deg(g) != 0:
             return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _field_mul(a: tuple, b: tuple, modulus: list[int], r: int) -> tuple:
@@ -311,14 +273,9 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
 
     one = tuple([1] + [0] * (m - 1))
     zeta = None
-    for code in range(1, q):
-        digits = []
-        c = code
-        for _ in range(m):
-            c, d = divmod(c, r)
-            digits.append(d)
-        candidate = _field_pow(tuple(digits), (q - 1) // p, modulus, r)
-        if candidate != one:
+    for digits in _all_vectors(r, m):
+        candidate = _field_pow(digits, (q - 1) // p, modulus, r)
+        if any(candidate) and candidate != one:  # the zero vector maps to 0
             zeta = candidate
             break
     if zeta is None or _field_pow(zeta, p, modulus, r) != one:
@@ -333,79 +290,61 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
     )
 
     def mul(x, y):
-        return _mat_mul(x, y, r)
+        return ml.mat_mul(x, y, r)
 
     group = group_from_elements(
-        [mult_matrix, frob_matrix], mul, _mat_identity(m),
+        [mult_matrix, frob_matrix], mul, ml.mat_identity(m),
         name=f"GammaL1({r}^{m}) order {p}*{m}",
     )
     if group.order != p * m:
         raise ConsistencyError(
             f"A has order {group.order}, expected {p * m}"
         )
-    action = LinearGroupAction(r, m, group, tuple(group.elements))
-    action.validate()
-
-    _verify_gamma_l_invariants(p, m, r, mult_matrix, frob_matrix, group)
+    _verify_gamma_l_invariants(p, r, mult_matrix, frob_matrix, group)
     return GammaLConstruction(
         p=p, m=m, r=r, modulus=tuple(modulus),
-        mult_matrix=mult_matrix, frobenius_matrix=frob_matrix, action=action,
+        mult_matrix=mult_matrix, frobenius_matrix=frob_matrix,
+        action=LinearGroupAction(r, m, group, tuple(group.elements)),
     )
 
 
-def _columns_to_matrix(cols) -> Matrix:
+def _columns_to_matrix(cols) -> ml.Matrix:
     m = len(cols)
     return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
 
 
-def _verify_gamma_l_invariants(p, m, r, mult_matrix, frob_matrix, group) -> None:
+def _verify_gamma_l_invariants(p, r, mult_matrix, frob_matrix, group) -> None:
     dim = len(mult_matrix)
-    identity = _mat_identity(dim)
+    identity = ml.mat_identity(dim)
+    frob_inv = ml.mat_inv(frob_matrix, r)
+    conj = ml.mat_mul(ml.mat_mul(frob_matrix, mult_matrix, r), frob_inv, r)
 
-    # P acts fixed point freely on nonzero vectors
+    # one walk over zeta^1 .. zeta^(p-1)
     power = identity
-    for _ in range(1, p):
-        power = _mat_mul(power, mult_matrix, r)
+    for i in range(1, p):
+        power = ml.mat_mul(power, mult_matrix, r)
+        # P acts fixed point freely on nonzero vectors
         shifted = [
-            [(power[i][j] - identity[i][j]) % r for j in range(dim)]
-            for i in range(dim)
+            [(power[a][b] - identity[a][b]) % r for b in range(dim)]
+            for a in range(dim)
         ]
         if ml.nullspace(shifted, r):
             raise ConsistencyError("zeta-power has nonzero fixed space")
-
-    # Frobenius normalizes P: F M F^-1 = M^r
-    frob_inv = _mat_inv(frob_matrix, r)
-    conj = _mat_mul(_mat_mul(frob_matrix, mult_matrix, r), frob_inv, r)
-    mr = _mat_power(mult_matrix, r % p, r)
-    if conj != mr:
-        raise ConsistencyError("Frobenius does not conjugate zeta to zeta^r")
-
-    # Frobenius centralizes no nontrivial element of P
-    power = identity
-    for i in range(1, p):
-        power = _mat_mul(power, mult_matrix, r)
-        if _mat_mul(frob_matrix, power, r) == _mat_mul(power, frob_matrix, r):
+        # Frobenius centralizes no nontrivial element of P
+        if ml.mat_mul(frob_matrix, power, r) == ml.mat_mul(power, frob_matrix, r):
             raise ConsistencyError(f"Frobenius centralizes zeta^{i}")
+        # Frobenius normalizes P: F M F^-1 = M^r
+        if i == r % p and conj != power:
+            raise ConsistencyError("Frobenius does not conjugate zeta to zeta^r")
 
     # C_A(P) = P: elements commuting with zeta are exactly the p powers
     centralizer = sum(
         1
         for e in group.elements
-        if _mat_mul(e, mult_matrix, r) == _mat_mul(mult_matrix, e, r)
+        if ml.mat_mul(e, mult_matrix, r) == ml.mat_mul(mult_matrix, e, r)
     )
     if centralizer != p:
         raise ConsistencyError(f"|C_A(P)| = {centralizer}, expected {p}")
-
-
-def _mat_power(a: Matrix, e: int, p: int) -> Matrix:
-    result = _mat_identity(len(a))
-    base = a
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base, p)
-        base = _mat_mul(base, base, p)
-        e >>= 1
-    return result
 
 
 def _all_vectors(ell: int, dim: int):
@@ -652,7 +591,7 @@ def semidirect_product_permutations(action: LinearGroupAction) -> FiniteGroup:
         )
     for g in group.generators:
         mat = action.matrices[g]
-        gens.append(tuple(code_of[_mat_vec(mat, v, ell)] for v in vectors))
+        gens.append(tuple(code_of[tuple(ml.mat_vec(mat, v, ell))] for v in vectors))
     product = group_from_permutations(
         gens, max_order=size_v * group.order, name="V x| A"
     )

@@ -309,6 +309,8 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
     rows = [list(map(int, row)) for row in table]
     if any(len(row) != n for row in rows):
         raise ValueError("multiplication table must be square")
+    if any(min(row) < 0 or max(row) >= n for row in rows):
+        raise ValueError(f"table entries must lie in 0..{n - 1}")
     identity = next(
         (e for e in range(n)
          if all(rows[e][i] == i and rows[i][e] == i for i in range(n))),

@@ -1,8 +1,11 @@
 """Exact linear algebra and polynomial arithmetic over prime fields.
 
 Everything here works on plain Python ints reduced modulo a prime, with
-matrices as lists of row lists and polynomials as coefficient lists in
-increasing degree order.  No floating point anywhere.
+matrices as sequences of rows, vectors as lists and polynomials as
+coefficient lists in increasing degree order.  No floating point anywhere.
+The products, inverses and transposes are tuples of row tuples, so a
+matrix is hashable and can be a group element; the eliminations accept
+any rows and return lists.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import random
 
 from .errors import ConsistencyError
 
-Matrix = list  # list of row lists
+Matrix = tuple  # tuple of row tuples; the eliminations also accept lists
 Poly = list  # coefficients, low degree first
 
 
@@ -19,13 +22,15 @@ Poly = list  # coefficients, low degree first
 # matrices
 
 def mat_identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    n, mid, m = len(a), len(b), len(b[0])
-    bt = [[b[k][j] for k in range(mid)] for j in range(m)]
-    return [[sum(ra[k] * col[k] for k in range(mid)) % p for col in bt] for ra in a]
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+        for row in a
+    )
 
 
 def mat_vec(a: Matrix, v: list, p: int) -> list:
@@ -33,13 +38,13 @@ def mat_vec(a: Matrix, v: list, p: int) -> list:
 
 
 def mat_transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
+    return tuple(zip(*a))
 
 
 def mat_inv(a: Matrix, p: int) -> Matrix:
     """Inverse via Gauss-Jordan; raises ValueError on a singular matrix."""
     n = len(a)
-    aug = [list(row) + ident for row, ident in zip(a, mat_identity(n))]
+    aug = [list(row) + list(ident) for row, ident in zip(a, mat_identity(n))]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] % p), None)
         if piv is None:
@@ -51,7 +56,7 @@ def mat_inv(a: Matrix, p: int) -> Matrix:
             if r != col and aug[r][col]:
                 t = aug[r][col]
                 aug[r] = [(x - t * y) % p for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def row_reduce(a: Matrix, p: int) -> tuple[Matrix, list[int]]:

@@ -9,6 +9,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from . import __version__
+
 SCHEMA_VERSION = 1
 
 
@@ -26,7 +28,7 @@ class Report:
     counters: dict[str, int] = field(default_factory=dict)
     seed: int | None = None
     elapsed_seconds: float = 0.0
-    version: str = "0.1.0"
+    version: str = __version__
 
     @property
     def status(self) -> str:
@@ -90,15 +92,3 @@ class timer:
         self.elapsed = time.perf_counter() - self.start
         return False
 
-
-def build_report(command: str, parameters: dict, rows: list[dict],
-                 counters: dict | None = None, seed: int | None = None,
-                 elapsed: float = 0.0) -> Report:
-    return Report(
-        command=command,
-        parameters=parameters,
-        rows=rows,
-        counters=counters or {},
-        seed=seed,
-        elapsed_seconds=elapsed,
-    )

@@ -28,6 +28,7 @@ from .landau import (
     landau_primes,
     prime_powers,
 )
+from .lie_bounds import cyclotomic_value
 from .report import Report, timer
 
 
@@ -201,8 +202,8 @@ def exceptional_series_hits(q_max: int = 256) -> list[TorusHit]:
                      lambda u, q=q: _suffix(f"E6({q})", u)))
         add(_mk_hits("2e6", q, r, f, 0, q**6 - q**3 + 1, 9, 2 * f,
                      lambda u, q=q: _suffix(f"2E6({q})", u)))
-        for d, base in ((15, 15), (20, 20), (24, 24), (30, 30)):
-            add(_mk_hits("e8", q, r, f, 0, _phi_e8(d, q), base, f,
+        for d in (15, 20, 24, 30):
+            add(_mk_hits("e8", q, r, f, 0, cyclotomic_value(d, q), d, f,
                          lambda u, q=q: _suffix(f"E8({q})", u)))
         # Suzuki 2B2(2^(2k+1)), Ree 2G2(3^(2k+1)), 2F4(2^(2k+1))
         if r == 2 and f % 2 == 1 and f >= 3:
@@ -222,18 +223,6 @@ def exceptional_series_hits(q_max: int = 256) -> list[TorusHit]:
                 add(_mk_hits("2g2", q, r, f, 0, torus, base, f,
                              lambda u, q=q: _suffix(f"2G2({q})", u)))
     return sorted(hits.values())
-
-
-def _phi_e8(d: int, q: int) -> int:
-    if d == 15:
-        return q**8 - q**7 + q**5 - q**4 + q**3 - q + 1
-    if d == 20:
-        return q**8 - q**6 + q**4 - q**2 + 1
-    if d == 24:
-        return q**8 - q**4 + 1
-    if d == 30:
-        return q**8 + q**7 - q**5 - q**4 - q**3 + q + 1
-    raise ValueError(d)
 
 
 def defining_characteristic_hits(limit: int = 300) -> list[TorusHit]:

@@ -1,10 +1,13 @@
 import contextlib
 import io
 import json
+import pathlib
 
 import pytest
 
+import ppchars
 from ppchars.cli import main
+from ppchars.report import Report
 
 
 def run_cli(argv):
@@ -125,6 +128,37 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_bad_group_file_exit_codes(tmp_path):
+    # an entry outside 0..n-1 is bad input (1), not an internal fault (3)
+    table = tmp_path / "bad.json"
+    table.write_text(json.dumps({"mult": [[0, 1, 2], [1, 2, 0], [2, 0, -2]]}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["degrees", "--group", str(table)])
+    assert code == 1
+    assert err.getvalue() == "error: table entries must lie in 0..2\n"
+    # a file that cannot be read is a usage error, with no traceback
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["degrees", "--group", str(tmp_path / "missing.json")])
+    assert code == 2
+    assert err.getvalue().startswith("error: ")
+    assert "missing.json" in err.getvalue()
+    assert err.getvalue().count("\n") == 1
+
+
+def test_single_version():
+    _, out = run_cli(["landau", "--limit", "10"])
+    assert json.loads(out)["version"] == ppchars.__version__
+    assert Report("x", {}, []).version == ppchars.__version__
+    # tomllib is missing on Python 3.10, so read the file as text
+    root = pathlib.Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'dynamic = ["version"]' in pyproject
+    assert 'version = {attr = "ppchars.__version__"}' in pyproject
+    assert 'version = "' not in pyproject
+
+
 def test_value_error_exit_code():
     buf = io.StringIO()
     with contextlib.redirect_stderr(buf):
@@ -139,3 +173,24 @@ def test_verify_all_quick():
     checks = {row["check"] for row in report["rows"]}
     assert {"verify-symmetric", "frobenius p=5", "frobenius p=17",
             "solvable p=5", "table2", "torus-search"} <= checks
+
+
+def test_verify_all_full():
+    code, out = run_cli(["verify-all", "--full"])
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "fail"
+    assert [row["check"] for row in report["rows"]] == [
+        "verify-symmetric",
+        "frobenius p=5", "frobenius p=17", "frobenius p=37",
+        "frobenius p=101", "frobenius p=197", "frobenius p=257",
+        "solvable p=5", "table2", "table1", "defining",
+        "classical bc", "classical d", "classical 2d", "classical a",
+        "classical 2a", "e8-d1", "torus-reconcile", "alternating",
+    ]
+    # the printed bound fails at Sp_4(8), p = 7, and nowhere else
+    failing = [row for row in report["rows"] if row["ok"] is False]
+    assert [(row["check"], row["failures"]) for row in failing] == [
+        ("classical bc", 1)]
+    # the solvable row counts the engine cross-check row too
+    solvable = next(r for r in report["rows"] if r["check"] == "solvable p=5")
+    assert solvable["rows"] == 2

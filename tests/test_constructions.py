@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from ppchars import constructions, engine
+from ppchars import modlinalg as ml
 from ppchars.cli import main
 from ppchars.errors import ConsistencyError, SearchExhaustedError
 
@@ -89,11 +90,11 @@ def test_build_gamma_l_5_19():
     mat = built.mult_matrix
     power = mat
     for _ in range(4):
-        power = constructions._mat_mul(power, mat, 19)
-    assert power == constructions._mat_identity(2)
+        power = ml.mat_mul(power, mat, 19)
+    assert power == ml.mat_identity(2)
     # Frobenius matrix squares to the identity
-    frob2 = constructions._mat_mul(built.frobenius_matrix, built.frobenius_matrix, 19)
-    assert frob2 == constructions._mat_identity(2)
+    frob2 = ml.mat_mul(built.frobenius_matrix, built.frobenius_matrix, 19)
+    assert frob2 == ml.mat_identity(2)
 
 
 def test_clifford_gamma_l_5_19():
@@ -133,8 +134,7 @@ def _sweep_orbit_rows(action):
     inertia subgroup off its orbit's first vector."""
     ell, dim, group = action.ell, action.dim, action.group
     n = group.order
-    dual = [tuple(zip(*constructions._mat_inv(mat, ell)))
-            for mat in action.matrices]
+    dual = [ml.mat_transpose(ml.mat_inv(mat, ell)) for mat in action.matrices]
     vectors = list(constructions._all_vectors(ell, dim))
     code = {v: c for c, v in enumerate(vectors)}
     visited = bytearray(len(vectors))
@@ -147,13 +147,13 @@ def _sweep_orbit_rows(action):
         orbit = [start]
         for c in orbit:
             for g in group.generators:
-                w = code[constructions._mat_vec(dual[g], vectors[c], ell)]
+                w = code[tuple(ml.mat_vec(dual[g], vectors[c], ell))]
                 if not visited[w]:
                     visited[w] = 1
                     orbit.append(w)
         rep = vectors[start]
         inertia = tuple(
-            g for g in range(n) if constructions._mat_vec(dual[g], rep, ell) == rep
+            g for g in range(n) if tuple(ml.mat_vec(dual[g], rep, ell)) == rep
         )
         assert len(orbit) * len(inertia) == n
         if inertia not in inertia_degrees:

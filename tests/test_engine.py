@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ppchars import constructions, engine, symmetric
+from ppchars import modlinalg as ml
 from ppchars.errors import ConsistencyError, SizeLimitError
 
 
@@ -175,6 +176,14 @@ def test_group_from_table_rejects_garbage():
         engine.group_from_table([[0, 1], [0, 1]])
 
 
+def test_group_from_table_rejects_entries_out_of_range():
+    # -2 indexes from the end, so without the range check this table
+    # reaches validate() and is reported as an internal consistency failure
+    for bad in (-2, 3):
+        with pytest.raises(ValueError, match="0..2"):
+            engine.group_from_table([[0, 1, 2], [1, 2, 0], [2, 0, bad]])
+
+
 def test_group_from_table_identity_not_at_zero():
     # relabel D10 so the identity sits at index 3; degrees must not change
     g = engine.dihedral_group(10)
@@ -204,7 +213,7 @@ def test_index_mul_and_right_regular_match_callback():
     cases = [
         (engine.alternating_group(6), _perm_compose),
         (constructions.build_frobenius(17, 4)[0], _affine_ops(17)[0]),
-        (gamma.action.group, lambda x, y: constructions._mat_mul(x, y, 19)),
+        (gamma.action.group, lambda x, y: ml.mat_mul(x, y, 19)),
     ]
     rng = random.Random(5)
     for g, compose in cases:

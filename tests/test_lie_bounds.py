@@ -7,6 +7,16 @@ def test_cyclotomic_values():
     assert lie_bounds.cyclotomic_value(1, 5) == 4
     assert lie_bounds.cyclotomic_value(8, 4) == 257
     assert lie_bounds.cyclotomic_value(12, 2) == 13
+    # the E8 torus orders, in closed form
+    e8 = {
+        15: lambda q: q**8 - q**7 + q**5 - q**4 + q**3 - q + 1,
+        20: lambda q: q**8 - q**6 + q**4 - q**2 + 1,
+        24: lambda q: q**8 - q**4 + 1,
+        30: lambda q: q**8 + q**7 - q**5 - q**4 - q**3 + q + 1,
+    }
+    for d, closed in e8.items():
+        for q in range(2, 257):
+            assert lie_bounds.cyclotomic_value(d, q) == closed(q), (d, q)
 
 
 def test_cyclotomic_product_identity():

@@ -95,7 +95,7 @@ def test_solve_in_span():
 
 
 def _conjugate_by_random(d, p, rng):
-    """s^-1 d s for a random invertible s, as plain lists."""
+    """s^-1 d s for a random invertible s."""
     n = len(d)
     while True:
         s = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
