@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 
 from . import constructions, engine, landau, lie_bounds, symmetric, torus_search
-from .errors import ConsistencyError
+from .errors import ConsistencyError, UsageError
 from .report import Report, timer
 
 
@@ -103,13 +104,20 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # an unreadable --group file
+    except (OSError, UsageError) as exc:  # e.g. an unreadable --group file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.seed = args.seed
     if getattr(args, "failures_only", False):
         report.rows = [r for r in report.rows if r.get("ok") is False]
-    print(report.to_json() if args.format == "json" else report.to_csv())
+    try:
+        print(report.to_json() if args.format == "json" else report.to_csv())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`); point stdout at devnull so
+        # that the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return 0 if report.status in ("pass", "partial") else 1
 
 
@@ -139,7 +147,7 @@ def _cmd_partitions(args) -> Report:
             m, s = args.k
             rows.append({"m": m, "s": s, "k": partitions.split_count(m, s)})
         if not rows:
-            raise ValueError("need --pi N or --k M S")
+            raise UsageError("need --pi N or --k M S")
     return Report("partitions", {"pi": args.pi, "k": args.k}, rows,
                   elapsed_seconds=t.elapsed)
 
@@ -268,7 +276,7 @@ def _cmd_bounds(args) -> Report:
         return lie_bounds.defining_char_check()
     if args.classical:
         if not args.family:
-            raise ValueError("--classical needs --family")
+            raise UsageError("--classical needs --family")
         return lie_bounds.classical_inequality_check(
             args.family,
             q_max=args.qmax or lie_bounds.DEFAULT_Q_MAX,

@@ -306,9 +306,12 @@ def group_from_permutations(
 def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
     """Group from an explicit multiplication table (element indices)."""
     n = len(table)
-    rows = [list(map(int, row)) for row in table]
+    rows = [list(row) for row in table]
     if any(len(row) != n for row in rows):
         raise ValueError("multiplication table must be square")
+    # exact type, so that 1.9, True and "1" are refused, not converted
+    if any(set(map(type, row)) != {int} for row in rows):
+        raise ValueError("table entries must be integers")
     if any(min(row) < 0 or max(row) >= n for row in rows):
         raise ValueError(f"table entries must lie in 0..{n - 1}")
     identity = next(

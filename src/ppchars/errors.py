@@ -1,6 +1,11 @@
 """Shared exception types."""
 
 
+class UsageError(Exception):
+    """The command line lacks an argument that argparse cannot require,
+    such as one of two optional flags.  The CLI exits 2 on it."""
+
+
 class SizeLimitError(RuntimeError):
     """A requested computation exceeds a configured size guard."""
 

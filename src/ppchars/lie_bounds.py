@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConsistencyError
-from .landau import factorize, is_prime, multiplicative_order, prime_powers
+from .landau import factorize, is_prime, prime_powers
 from .partitions import _compositions, enumerate_partitions, split_count
 from .report import Report, timer
 
@@ -192,6 +192,7 @@ def defining_char_check(
 # ---------------------------------------------------------------------------
 # wreath product character counts
 
+@lru_cache(maxsize=None)
 def wreath_irr_count(d: int, a: int) -> int:
     """|Irr(C_d wr S_a)| = number of d-tuples of partitions of total size a."""
     return split_count(d, a)
@@ -245,19 +246,41 @@ _FAMILY_CFG = {
 }
 
 
-def _minimal_pm_d(p: int, q: int) -> tuple[int, int]:
-    """Least d with p | q^d +- 1, and the matching sign (+1 or -1)."""
-    e = multiplicative_order(q % p, p)
-    if e % 2 == 0:
-        return e // 2, +1
-    return e, -1
+def _order_dividing(q: int, p: int, m: int) -> int:
+    """ord_p(q) when it divides m: the least divisor t of m with
+    q^t = 1 (mod p).  Every candidate p divides q^d -+ 1, so m = 2d
+    suffices and p - 1 is never factorized."""
+    return next(t for t in range(1, m + 1) if m % t == 0 and pow(q, t, p) == 1)
 
 
-def _minimal_unitary_d(p: int, q: int, d_cap: int) -> int | None:
-    for dd in range(1, d_cap + 1):
-        if (q**dd - (-1) ** dd) % p == 0:
-            return dd
-    return None
+def _eligible_primes(convention: str, q: int, d: int) -> list[tuple[int, int, int]]:
+    """(p, sign, torus order) for every prime p >= 5 for which d is minimal
+    under the family's torus convention, ascending in p.  Such p divides
+    q^d -+ 1 and so is coprime to q."""
+    minus, plus = q**d - 1, q**d + 1
+    eligible = []
+    if convention == "pm":
+        # least d with p | q^d -+ 1 is e/2 (sign +1) for even e = ord_p(q),
+        # and e (sign -1) for odd e
+        for p in sorted(set(_prime_divisors_ge5(minus) + _prime_divisors_ge5(plus))):
+            e = _order_dividing(q, p, 2 * d)
+            if e == 2 * d:
+                eligible.append((p, +1, plus))
+            elif e == d and d % 2:
+                eligible.append((p, -1, minus))
+    elif convention == "linear":
+        for p in _prime_divisors_ge5(minus):
+            if _order_dividing(q, p, d) == d:
+                eligible.append((p, -1, minus))
+    else:
+        # unitary: the torus is q^d - (-1)^d, and d is minimal when
+        # q^dd != (-1)^dd (mod p) for all dd < d
+        sign, torus = (1, plus) if d % 2 else (-1, minus)
+        for p in _prime_divisors_ge5(torus):
+            if all(pow(q, dd, p) != (1 if dd % 2 == 0 else p - 1)
+                   for dd in range(1, d)):
+                eligible.append((p, sign, torus))
+    return eligible
 
 
 @lru_cache(maxsize=None)
@@ -297,13 +320,17 @@ def classical_inequality_check(
         for r, f, q in prime_powers(q_max):
             if f > f_max:
                 continue
+            eligible: dict[int, list[tuple[int, int, int]]] = {}  # d -> primes
             for n in range(n_min, rank_max + 1):
                 for d in range(1, n + 1):
                     a = n // d
                     if a < 2:
                         continue
+                    if d not in eligible:
+                        eligible[d] = _eligible_primes(convention, q, d)
                     checked = _check_point(
-                        family, convention, halved, r, f, q, n, d, a, rows
+                        family, convention, halved, r, f, q, n, d, a,
+                        eligible[d], rows,
                     )
                     if checked == "no_p":
                         skipped_no_p += 1
@@ -328,37 +355,11 @@ def classical_inequality_check(
     )
 
 
-def _check_point(family, convention, halved, r, f, q, n, d, a, rows) -> str:
-    if convention == "pm":
-        candidates = set(_prime_divisors_ge5(q**d - 1))
-        candidates |= set(_prime_divisors_ge5(q**d + 1))
-    elif convention == "linear":
-        candidates = set(_prime_divisors_ge5(q**d - 1))
-    else:
-        candidates = set(_prime_divisors_ge5(q**d - (-1) ** d))
-    candidates = {p for p in candidates if q % p != 0}
-    if not candidates:
+def _check_point(family, convention, halved, r, f, q, n, d, a, eligible, rows) -> str:
+    if not eligible:
         return "no_p"
-
     found = False
-    any_minimal = False
-    for p in sorted(candidates):
-        if convention == "pm":
-            dmin, sign = _minimal_pm_d(p, q)
-            if dmin != d:
-                continue
-            torus = q**d + sign
-        elif convention == "linear":
-            if multiplicative_order(q % p, p) != d:
-                continue
-            sign = -1
-            torus = q**d - 1
-        else:
-            if _minimal_unitary_d(p, q, d) != d:
-                continue
-            sign = -((-1) ** d)
-            torus = q**d - (-1) ** d
-        any_minimal = True
+    for p, sign, torus in eligible:
         if p <= a:  # non-abelian Sylow branch, different argument applies
             continue
         found = True
@@ -380,7 +381,7 @@ def _check_point(family, convention, halved, r, f, q, n, d, a, rows) -> str:
         rhs_factor = 2 * f * gcd_factor * denom
         ok = lhs_num * lhs_num > rhs_factor * rhs_factor * (p - 1)
         row = dict(
-            asdict(case),
+            vars(case),
             wreath_count=count,
             lhs_numerator=lhs_num,
             lhs_denominator=denom,
@@ -395,9 +396,7 @@ def _check_point(family, convention, halved, r, f, q, n, d, a, rows) -> str:
             )
             row["weyl_halving_note"] = "index-2 subgroup possible"
         rows.append(row)
-    if not found:
-        return "nonabelian" if any_minimal else "no_p"
-    return "checked"
+    return "checked" if found else "nonabelian"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -137,6 +140,13 @@ def test_bad_group_file_exit_codes(tmp_path):
         code = main(["degrees", "--group", str(table)])
     assert code == 1
     assert err.getvalue() == "error: table entries must lie in 0..2\n"
+    # a non-integer entry is refused, not truncated to C2
+    table.write_text(json.dumps({"mult": [[0, 1.9], [1, 0]]}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["degrees", "--group", str(table)])
+    assert code == 1
+    assert err.getvalue() == "error: table entries must be integers\n"
     # a file that cannot be read is a usage error, with no traceback
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -160,10 +170,31 @@ def test_single_version():
 
 
 def test_value_error_exit_code():
+    # one of two optional flags missing is a usage error, as argparse's are
     buf = io.StringIO()
     with contextlib.redirect_stderr(buf):
         code = main(["partitions"])
-    assert code == 1 and "need --pi" in buf.getvalue()
+    assert code == 2 and "need --pi" in buf.getvalue()
+    buf = io.StringIO()
+    with contextlib.redirect_stderr(buf):
+        code = main(["bounds", "--classical"])
+    assert code == 2 and buf.getvalue() == "error: --classical needs --family\n"
+
+
+def test_closed_pipe_has_no_traceback():
+    # the report (1.6 MB) is far larger than a pipe buffer, so the write
+    # is still blocked when the reader closes its end
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ppchars.cli", "bounds", "--classical",
+         "--family", "a"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(15) == b'{\n  "command": '
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == ""  # no traceback, and no "Exception ignored" at exit
 
 
 def test_verify_all_quick():

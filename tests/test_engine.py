@@ -182,6 +182,11 @@ def test_group_from_table_rejects_entries_out_of_range():
     for bad in (-2, 3):
         with pytest.raises(ValueError, match="0..2"):
             engine.group_from_table([[0, 1, 2], [1, 2, 0], [2, 0, bad]])
+    # non-integers are refused, not truncated or converted: 1.9 would
+    # read as 1, True as 1 and "1" as 1
+    for bad in (1.9, True, "1"):
+        with pytest.raises(ValueError, match="must be integers"):
+            engine.group_from_table([[0, 1], [1, bad]])
 
 
 def test_group_from_table_identity_not_at_zero():

@@ -1,6 +1,13 @@
-import pytest
+import math
+from dataclasses import asdict
 
-from ppchars import lie_bounds
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ppchars import landau, lie_bounds
+from ppchars.landau import multiplicative_order, prime_powers
+from ppchars.partitions import split_count
 
 
 def test_cyclotomic_values():
@@ -137,3 +144,112 @@ def test_e8_check():
     assert 1001 not in qs  # 1001 = 7 * 11 * 13 is not a prime power
     row = next(r for r in report.rows if r["q"] == 1024 and r["p"] == 11)
     assert row["f"] == 10 and row["ok"] and row["ok_strict"]
+
+
+def _reference_classical_rows(family, q_max, rank_max, f_max=lie_bounds.DEFAULT_F_MAX):
+    """Reference for the classical sweep: every grid point factorizes its
+    own torus orders, takes each order through multiplicative_order, counts
+    the wreath characters afresh and copies the case with asdict."""
+    n_min, convention = lie_bounds._FAMILY_CFG[family]
+    halved = family in ("d", "2d")
+    rows, no_p, nonabelian = [], 0, 0
+    for r, f, q in prime_powers(q_max):
+        if f > f_max:
+            continue
+        for n in range(n_min, rank_max + 1):
+            for d in range(1, n + 1):
+                a = n // d
+                if a < 2:
+                    continue
+                if convention == "pm":
+                    values = (q**d - 1, q**d + 1)
+                elif convention == "linear":
+                    values = (q**d - 1,)
+                else:
+                    values = (q**d - (-1) ** d,)
+                candidates = {p for v in values
+                              for p in landau.prime_divisors(v) if p >= 5}
+                found = any_minimal = False
+                for p in sorted(candidates):
+                    e = multiplicative_order(q % p, p)
+                    if convention == "pm":
+                        dmin, sign = (e // 2, 1) if e % 2 == 0 else (e, -1)
+                        if dmin != d:
+                            continue
+                    elif convention == "linear":
+                        if e != d:
+                            continue
+                        sign = -1
+                    else:
+                        if any((q**dd - (-1) ** dd) % p == 0 for dd in range(1, d)):
+                            continue
+                        sign = -((-1) ** d)
+                    torus = q**d + sign
+                    any_minimal = True
+                    if p <= a:
+                        continue
+                    found = True
+                    case = lie_bounds.ClassicalCase(
+                        family=family, q=q, r=r, f=f, d=d, a=a, n=n, p=p,
+                        sign=sign)
+                    factor = 2 * d if convention == "pm" else d
+                    full_count = split_count(factor, a)
+                    count = full_count // 2 if halved else full_count
+                    denom = factor**a * math.factorial(a)
+                    g = math.gcd(2 if convention == "pm" else n,
+                                 q + 1 if convention == "unitary" else q - 1)
+                    lhs = count * denom + torus**a
+                    rhs2 = (2 * f * g * denom) ** 2 * (p - 1)
+                    row = dict(asdict(case), wreath_count=count,
+                               lhs_numerator=lhs, lhs_denominator=denom,
+                               rhs_squared_num=rhs2, ok=lhs * lhs > rhs2)
+                    if halved:
+                        full_lhs = full_count * denom + torus**a
+                        row["wreath_count_full"] = full_count
+                        row["ok_full_weyl"] = full_lhs * full_lhs > rhs2
+                        row["weyl_halving_note"] = "index-2 subgroup possible"
+                    rows.append(row)
+                if not found:
+                    if any_minimal:
+                        nonabelian += 1
+                    else:
+                        no_p += 1
+    return rows, no_p, nonabelian
+
+
+@pytest.mark.parametrize("family", lie_bounds.FAMILIES)
+def test_classical_sweep_matches_per_point_reference(family):
+    report = lie_bounds.classical_inequality_check(family, q_max=128, rank_max=10)
+    rows, no_p, nonabelian = _reference_classical_rows(family, 128, 10)
+    assert report.rows == rows
+    assert [list(row) for row in report.rows] == [list(row) for row in rows]
+    assert report.counters == {
+        "checked": len(rows),
+        "violations": sum(not row["ok"] for row in rows),
+        "points_without_eligible_p": no_p,
+        "points_nonabelian_sylow_only": nonabelian,
+    }
+
+
+_SMALL_PRIMES = landau.primes_up_to(20000)
+
+
+@st.composite
+def _order_case(draw):
+    """(q, d, p) with p prime and p | q^(2d) - 1, drawn without factoring:
+    x -> x^((p-1)/g), g = gcd(p-1, 2d), maps onto the residues of order
+    dividing g, which are exactly the q with q^(2d) = 1 (mod p)."""
+    p = draw(st.sampled_from(_SMALL_PRIMES))
+    d = draw(st.integers(1, 12))
+    x = draw(st.integers(1, p - 1))
+    residue = pow(x, (p - 1) // math.gcd(p - 1, 2 * d), p)
+    q = residue + p * draw(st.integers(0 if residue > 1 else 1, 10**6))
+    return q, d, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_order_case())
+def test_order_from_divisors_matches_multiplicative_order(case):
+    q, d, p = case
+    assert (q ** (2 * d) - 1) % p == 0
+    assert lie_bounds._order_dividing(q, p, 2 * d) == multiplicative_order(q, p)
