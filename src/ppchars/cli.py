@@ -175,10 +175,15 @@ def _group_from_descriptor(descriptor: str) -> engine.FiniteGroup:
         return group
     with open(descriptor, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("group file must hold a JSON object")
     if "permutations" in data:
         return engine.group_from_permutations(data["permutations"])
     if "mult" in data:
-        return engine.group_from_table(data["mult"])
+        try:
+            return engine.group_from_table(data["mult"])
+        except ConsistencyError as exc:  # the file's law, not the program
+            raise ValueError(f"not a group table: {exc}") from exc
     raise ValueError("group file needs a 'permutations' or 'mult' key")
 
 

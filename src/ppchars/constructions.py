@@ -42,7 +42,6 @@ from .landau import (
     is_prime,
     multiplicative_order,
     prime_divisors,
-    primes_up_to,
 )
 from .report import Report, timer
 
@@ -127,8 +126,8 @@ def find_construction_prime(p: int, search_limit: int = 1_000_000) -> int:
     if not is_prime(p) or not is_perfect_square(p - 1) or p < 5:
         raise ValueError(f"{p} is not a Landau prime >= 5")
     m = math.isqrt(p - 1)
-    for r in primes_up_to(search_limit):
-        if r == p or m % r == 0:
+    for r in range(2, search_limit + 1):
+        if r == p or m % r == 0 or not is_prime(r):
             continue
         if multiplicative_order(r, p) == m:
             return r
@@ -273,9 +272,11 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
 
     one = tuple([1] + [0] * (m - 1))
     zeta = None
-    for digits in _all_vectors(r, m):
+    # codes 0 .. r-1 are the scalars F_r; since ord_p(r) = m >= 2, r - 1
+    # divides (q-1)/p, so their powers are 0 or 1 and the search skips them
+    for digits in _all_vectors(r, m, start=r):
         candidate = _field_pow(digits, (q - 1) // p, modulus, r)
-        if any(candidate) and candidate != one:  # the zero vector maps to 0
+        if candidate != one:  # a nonzero vector has a nonzero power
             zeta = candidate
             break
     if zeta is None or _field_pow(zeta, p, modulus, r) != one:
@@ -347,9 +348,10 @@ def _verify_gamma_l_invariants(p, r, mult_matrix, frob_matrix, group) -> None:
         raise ConsistencyError(f"|C_A(P)| = {centralizer}, expected {p}")
 
 
-def _all_vectors(ell: int, dim: int):
-    """All vectors of F_ell^dim as tuples, in base-ell code order."""
-    for code in range(ell**dim):
+def _all_vectors(ell: int, dim: int, start: int = 0):
+    """The vectors of F_ell^dim as tuples, in base-ell code order, from
+    the one with code `start` on."""
+    for code in range(start, ell**dim):
         v = []
         c = code
         for _ in range(dim):

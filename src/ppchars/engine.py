@@ -34,10 +34,10 @@ deterministic, and across seeds the multiset is identical by construction.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import ConsistencyError, EngineSplitError, SizeLimitError
@@ -54,8 +54,6 @@ from .modlinalg import (
 DEFAULT_ORDER_LIMIT = 5000
 DEFAULT_CLOSURE_LIMIT = 100_000
 DEFAULT_CLASS_LIMIT = 80
-FULL_ASSOCIATIVITY_LIMIT = 128
-FULL_LATIN_LIMIT = 512
 
 
 @dataclass
@@ -81,7 +79,7 @@ class FiniteGroup:
     name: str = ""
     _right: list[list[int]] | None = field(default=None, repr=False)
     _words: list[tuple[int, ...]] | None = field(default=None, repr=False)
-    _table: list | None = field(default=None, repr=False)
+    _table: list[tuple[int, ...]] | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
@@ -113,45 +111,88 @@ class FiniteGroup:
             k += 1
         return k
 
-    def multiplication_table(self) -> list[list[int]]:
+    def multiplication_table(self) -> list[tuple[int, ...]]:
         if self._table is None:
             self._table = [
-                [self.mul(i, j) for j in range(self.order)]
+                tuple(self.mul(i, j) for j in range(self.order))
                 for i in range(self.order)
             ]
         return self._table
 
-    def validate(self, rng: random.Random | None = None) -> None:
-        """Identity/inverse laws always; Latin-square and associativity
-        exhaustively for small orders, on seeded samples above that."""
-        rng = rng or random.Random(0)
+    def validate(self) -> None:
+        """Prove the group axioms exactly: no sampling, no order cut-off.
+
+        The identity and inverse laws are checked for every element, and
+        associativity is proven by one of two tests below.  A set with an
+        associative law, a two-sided identity and two-sided inverses is a
+        group, so its table is a Latin square without a check of its own.
+
+        Table groups, Light's test.  Let T be the set of s with
+        (x s) y = x (s y) for all x, y.  T holds the identity, and it is
+        closed under the product: for s, t in T,
+        (x (s t)) y = ((x s) t) y = (x s) (t y) = x (s (t y)) = x ((s t) y).
+        So if the generators S lie in T and every element is
+        ((e s1) s2) ... sk for some word in S, then T is everything.  Both
+        are checked: the second by closing S from the identity, the first
+        by comparing row(x s) with row(x) read at the positions row(s),
+        |S| n^2 lookups at C speed in all.
+
+        Closure-built groups, the left nucleus.  Here i j walks j's word
+        through the right tables R_t, so once right_regular(g_t) == R_t for
+        every generator, each right-regular map is a word in the R_t.  If
+        the left multiplication y -> a y of a generator a commutes with
+        every R_t, it commutes with every right-regular map, which says
+        a (y z) = (a y) z for all y, z: a is in the left nucleus
+        N = {a : a (y z) = (a y) z}.  N holds the identity and is closed
+        under the product: for a, b in N,
+        (a b) (y z) = a (b (y z)) = a ((b y) z) = (a (b y)) z = ((a b) y) z.
+        Every j is ((e g_t1) ...) g_tk along its word, so N is everything.
+        This costs |S|^2 n lookups plus |S| n |word| for the left maps.
+        """
         n = self.order
-        e = self.identity
+        e, mul, inverse = self.identity, self.mul, self.inverse
         for i in range(n):
-            if self.mul(e, i) != i or self.mul(i, e) != i:
+            if mul(e, i) != i or mul(i, e) != i:
                 raise ConsistencyError("identity law fails")
-            if self.mul(i, self.inverse[i]) != e or self.mul(self.inverse[i], i) != e:
+            if mul(i, inverse[i]) != e or mul(inverse[i], i) != e:
                 raise ConsistencyError("inverse law fails")
-        if n <= FULL_LATIN_LIMIT:
-            row_sample = col_sample = range(n)
+        if self._right is None:
+            self._check_light()
         else:
-            row_sample = col_sample = sorted(rng.sample(range(n), 32))
-        for i in row_sample:
-            if len({self.mul(i, j) for j in range(n)}) != n:
-                raise ConsistencyError(f"row {i} is not a permutation")
-        for j in col_sample:
-            if len({self.mul(i, j) for i in range(n)}) != n:
-                raise ConsistencyError(f"column {j} is not a permutation")
-        if n <= FULL_ASSOCIATIVITY_LIMIT:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(2000)
-            )
-        for a, b, c in triples:
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise ConsistencyError(f"associativity fails at {(a, b, c)}")
+            self._check_left_nucleus()
+
+    def _check_light(self) -> None:
+        rows = self._table
+        if len(subgroup_closure(self, self.generators)) != self.order:
+            raise ConsistencyError("the generators do not generate the group")
+        if self.order == 1:
+            return  # the identity law is the whole law
+        for s in self.generators:
+            times_row_s = itemgetter(*rows[s])
+            for x, row in enumerate(rows):
+                if rows[row[s]] != times_row_s(row):
+                    raise ConsistencyError(
+                        f"associativity fails at ({x}, {s}, y) for some y"
+                    )
+
+    def _check_left_nucleus(self) -> None:
+        right = self._right
+        for g, right_g in zip(self.generators, right):
+            if self.right_regular(g) != right_g:
+                raise ConsistencyError(
+                    f"products by generator {g} disagree with its table"
+                )
+        at_right = [itemgetter(*right_t) for right_t in right]
+        for a in self.generators:
+            left_a = [self.mul(a, y) for y in range(self.order)]
+            at_left_a = itemgetter(*left_a)
+            for right_t, at_right_t in zip(right, at_right):
+                # a (y g_t) against (a y) g_t, for every y at once
+                if at_right_t(left_a) != at_left_a(right_t):
+                    raise ConsistencyError(
+                        f"associativity fails: generator {a} is not in "
+                        "the left nucleus"
+                    )
 
 
 @dataclass(frozen=True)
@@ -267,8 +308,8 @@ def _inverse_table(group: FiniteGroup, inv: Callable | None) -> list[int]:
 
 
 def _compose_perms(a: tuple, b: tuple) -> tuple:
-    """(a o b)(x) = a(b(x))."""
-    return tuple(a[i] for i in b)
+    """(a o b)(x) = a(b(x)); itemgetter returns a bare entry for degree 1."""
+    return itemgetter(*b)(a) if len(b) > 1 else (a[b[0]],)
 
 
 def _invert_perm(a: tuple) -> tuple:
@@ -284,13 +325,19 @@ def group_from_permutations(
     name: str = "",
 ) -> FiniteGroup:
     """Group generated by permutations given in image notation (0-based)."""
+    if not isinstance(perms, (list, tuple)) or not all(
+        isinstance(p, (list, tuple)) for p in perms
+    ):
+        raise ValueError("permutations must be a list of image lists")
     if not perms:
         raise ValueError("need at least one generator")
     degree = len(perms[0])
     gens = []
     for p in perms:
         t = tuple(p)
-        if len(t) != degree or sorted(t) != list(range(degree)):
+        # exact type first, so that sorted() never compares "1" with 0
+        if (len(t) != degree or set(map(type, t)) - {int}
+                or sorted(t) != list(range(degree))):
             raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
         gens.append(t)
     return group_from_elements(
@@ -305,25 +352,37 @@ def group_from_permutations(
 
 def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
     """Group from an explicit multiplication table (element indices)."""
+    if not isinstance(table, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in table
+    ):
+        raise ValueError("multiplication table must be a list of rows")
     n = len(table)
-    rows = [list(row) for row in table]
-    if any(len(row) != n for row in rows):
+    if any(len(row) != n for row in table):
         raise ValueError("multiplication table must be square")
     # exact type, so that 1.9, True and "1" are refused, not converted
-    if any(set(map(type, row)) != {int} for row in rows):
+    if any(set(map(type, row)) != {int} for row in table):
         raise ValueError("table entries must be integers")
-    if any(min(row) < 0 or max(row) >= n for row in rows):
+    if any(min(row) < 0 or max(row) >= n for row in table):
         raise ValueError(f"table entries must lie in 0..{n - 1}")
+    # rows of one shared int object per label, so that most comparisons in
+    # validate() meet identical objects; itemgetter(0) would return a bare 0
+    labels = list(range(n))
+    if n > 1:
+        rows = [itemgetter(*row)(labels) for row in table]
+    else:
+        rows = [tuple(row) for row in table]
+    identity_row = tuple(labels)
     identity = next(
         (e for e in range(n)
-         if all(rows[e][i] == i and rows[i][e] == i for i in range(n))),
+         if rows[e] == identity_row
+         and all(row[e] == i for i, row in enumerate(rows))),
         None,
     )
     if identity is None:
         raise ValueError("table has no identity element")
     inverse = []
-    for i in range(n):
-        j = next((j for j in range(n) if rows[i][j] == identity), None)
+    for i, row in enumerate(rows):
+        j = row.index(identity) if identity in row else None
         if j is None or rows[j][i] != identity:
             raise ValueError(f"element {i} has no two-sided inverse")
         inverse.append(j)
@@ -336,8 +395,8 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
         name=name,
         _table=rows,
     )
-    group.validate()
     group.generators = _greedy_generators(group)
+    group.validate()
     return group
 
 

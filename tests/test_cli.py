@@ -147,6 +147,29 @@ def test_bad_group_file_exit_codes(tmp_path):
         code = main(["degrees", "--group", str(table)])
     assert code == 1
     assert err.getvalue() == "error: table entries must be integers\n"
+    # a Latin square with identity and inverses that is not associative
+    # is bad input too: the loop of order 5 in which every element is its
+    # own inverse
+    table.write_text(json.dumps({"mult": [
+        [0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["degrees", "--group", str(table)])
+    assert code == 1
+    assert err.getvalue().startswith("error: not a group table: "
+                                     "associativity fails")
+    assert err.getvalue().count("\n") == 1
+    # a table or a generator list that is not a list of lists
+    for data in ({"mult": 5}, {"mult": [5]}, {"permutations": 5},
+                 {"permutations": [[0, "1"]]}, 5):
+        table.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["degrees", "--group", str(table)])
+        assert code == 1, data
+        assert err.getvalue().startswith("error: "), data
+        assert err.getvalue().count("\n") == 1, data
     # a file that cannot be read is a usage error, with no traceback
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -72,10 +73,36 @@ def test_extremal_counts():
 def test_find_construction_prime():
     assert constructions.find_construction_prime(5) == 19
     r17 = constructions.find_construction_prime(17)
-    from ppchars.landau import multiplicative_order
+    from ppchars.landau import multiplicative_order, primes_up_to
     assert multiplicative_order(r17, 17) == 4
     with pytest.raises(SearchExhaustedError):
         constructions.find_construction_prime(5, search_limit=10)
+    # the least such prime, as a search over a sieve finds it
+    primes = primes_up_to(10_000)
+    for p in (5, 17, 37, 101, 197, 257):
+        m = math.isqrt(p - 1)
+        expected = next(r for r in primes
+                        if r != p and m % r and multiplicative_order(r, p) == m)
+        assert constructions.find_construction_prime(p) == expected
+
+
+@pytest.mark.parametrize("p, r", [(5, 19), (5, 509), (17, 13), (37, 11)])
+def test_zeta_is_the_first_nonscalar_hit(p, r):
+    """The search for zeta starts after the scalars of F_r; each of them
+    has (q-1)/p-th power 0 or 1, so a search from code 0 finds the same
+    zeta, the first column of the multiplication matrix."""
+    built = constructions.build_gamma_l(p, r)
+    m, modulus = built.m, list(built.modulus)
+    exponent = (r**m - 1) // p
+    one = (1,) + (0,) * (m - 1)
+    powers = (constructions._field_pow(v, exponent, modulus, r)
+              for v in constructions._all_vectors(r, m))
+    for code, power in enumerate(powers):
+        if code < r:
+            assert power == (one if code else (0,) * m)
+        elif power != one:
+            break
+    assert tuple(row[0] for row in built.mult_matrix) == power
 
 
 def test_build_gamma_l_rejects_wrong_order():

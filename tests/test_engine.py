@@ -3,6 +3,8 @@ import operator
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ppchars import constructions, engine, symmetric
 from ppchars import modlinalg as ml
@@ -163,6 +165,17 @@ def test_closure_rejects_a_composition_without_inverses():
         engine.group_from_elements([1], max, 0)
 
 
+def test_compose_perms_matches_the_reference_formula():
+    rng = random.Random(2)
+    for degree in (1, 2, 5, 40):
+        for _ in range(20):
+            a, b = list(range(degree)), list(range(degree))
+            rng.shuffle(a)
+            rng.shuffle(b)
+            a, b = tuple(a), tuple(b)
+            assert engine._compose_perms(a, b) == _perm_compose(a, b)
+
+
 def test_group_from_table_roundtrip():
     g = engine.dihedral_group(8)
     table = g.multiplication_table()
@@ -256,3 +269,68 @@ def test_table_groups_get_small_generating_sets():
         assert 1 <= len(h.generators) <= math.log2(h.order)
         # classes do not depend on the generating set
         assert engine.conjugacy_classes(h) == engine.conjugacy_classes(g)
+
+
+@pytest.mark.parametrize("x, z", [(150, 150), (299, 298)])
+def test_table_validation_refuses_a_swapped_intercalate(x, z):
+    """Swap one 2x2 Latin subsquare of the D300 table: rows x and x u,
+    columns z and u z, with u an involution.  The table stays a Latin square
+    with the same identity and inverses, but only a few thousand of its 27
+    million triples fail associativity, so a sample of triples is likely to
+    miss them.  Accepted, the table makes the degree engine fail at
+    (150, 150) and return D300's own degrees at (299, 298)."""
+    g = engine.dihedral_group(300)
+    table = [list(row) for row in g.multiplication_table()]
+    e, mul = g.identity, g.mul
+    u = next(i for i in range(g.order) if i != e and mul(i, i) == e)
+    xu, uz = mul(x, u), mul(u, z)
+    # identity rows, columns and inverses stay where they were
+    assert e not in (x, xu, z, uz, mul(x, z), mul(xu, z))
+    table[x][z], table[x][uz] = table[x][uz], table[x][z]
+    table[xu][z], table[xu][uz] = table[xu][uz], table[xu][z]
+    with pytest.raises(ConsistencyError, match="associativity fails"):
+        engine.group_from_table(table)
+
+
+def test_table_validation_needs_a_generating_set():
+    # Light's test proves associativity only on what the generators generate
+    h = engine.group_from_table(engine.dihedral_group(8).multiplication_table())
+    h.generators = [h.generators[0]]
+    with pytest.raises(ConsistencyError, match="do not generate"):
+        h.validate()
+
+
+def test_closure_validation_checks_the_generator_tables():
+    # x * 2 = x leaves 2 to be reached as 1 * 1, so the law the words build
+    # is Z/3, but the callback's own product 0 * 2 = 0 contradicts it
+    g = engine.group_from_elements(
+        [1, 2], lambda x, h: (x + 1) % 3 if h == 1 else x, 0
+    )
+    assert g.order == 3
+    with pytest.raises(ConsistencyError, match="disagree with its table"):
+        g.validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=8).flatmap(
+    lambda k: st.tuples(st.permutations(range(k)), st.permutations(range(k)))
+))
+def test_closure_validation_is_exact_on_random_right_tables(perms):
+    """Two permutations of at most 8 points serve as the right tables of
+    the generators they send 0 to.  validate() must pass exactly when the
+    law the closure builds is associative over all triples."""
+    first, second = perms
+    assume(0 != first[0] != second[0] != 0)
+    right = {first[0]: first, second[0]: second}
+    g = engine.group_from_elements(list(right), lambda x, h: right[h][x], 0)
+    n, mul = g.order, g.mul
+    associative = all(
+        mul(mul(a, b), c) == mul(a, mul(b, c))
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+    try:
+        g.validate()
+    except ConsistencyError:
+        assert not associative
+    else:
+        assert associative
