@@ -79,12 +79,8 @@ def build_frobenius(p: int, m: int) -> tuple[FiniteGroup, FrobeniusParams]:
     def mul(x, y):
         return ((x[0] * y[0]) % p, (x[0] * y[1] + x[1]) % p)
 
-    def inv(x):
-        s = pow(x[0], -1, p)
-        return (s, (-s * x[1]) % p)
-
     group = group_from_elements(
-        [(a % p, 0), (1, 1)], mul, (1, 0), inv=inv, name=f"F({p},{m})"
+        [(a % p, 0), (1, 1)], mul, (1, 0), name=f"F({p},{m})"
     )
     if group.order != p * m:
         raise ConsistencyError(f"Frobenius closure has order {group.order}")

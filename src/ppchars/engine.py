@@ -11,22 +11,25 @@ Character degrees are computed by the classical modular method (Dixon):
 
 1. compute the class multiplication coefficients a_ijk, one pass over G per
    class representative z_k through the right-regular permutation
-   x -> x z_k, composed from the generator tables along z_k's word;
+   x -> x z_k, composed from the generator tables along z_k's word; only
+   the nonzero a_ijk are kept, as (j, k, a_ijk) per class i;
 2. pick a prime L = 1 (mod exponent of G) with L > |G|, so that F_L
    contains all needed roots of unity and every degree-squared value is
    read off exactly;
-3. simultaneously diagonalize the class matrices M_i = (a_ijk)_jk over
-   F_L by refining common eigenspaces with random linear combinations
-   (Dixon-Schneider).  Each combination, restricted to the space being
-   split, is reduced once to Hessenberg form H; its characteristic
-   polynomial comes from H, roots by gcd with x^L - x and equal-degree
-   splitting, and each eigenspace ker(H - zI) by forward elimination on
-   H, O(c^2) per eigenvalue rather than O(c^3) for a dense nullspace.
-   Every eigenvector is checked against the matrix in exact arithmetic;
-4. each one-dimensional common eigenspace, normalized at the identity
-   class, gives the central character values w_j, and
+3. split the unit vector at the identity class into its projections onto
+   the c common eigenvectors of the class matrices M_i = (a_ijk)_jk over
+   F_L (Dixon-Schneider, on cluster vectors instead of subspaces).  Each
+   round draws one random combination A of the M_i and splits every
+   cluster vector v by its Krylov sequence v, A v, A^2 v, ...: the first
+   dependency gives v's minimal polynomial mu, its roots z come from a gcd
+   with x^L - x and equal-degree splitting, and (mu / (x - z))(A) v is a
+   multiple of the projection of v onto A's z-eigenspace.  Every split is
+   checked in exact arithmetic, and the rounds stop at c clusters;
+4. each cluster, normalized at the identity class, gives the central
+   character values w_j, and
    chi(1)^2 = |G| / sum_j w_j * w_{j*} / |C_j| evaluated in F_L equals the
-   true integer since chi(1)^2 <= |G| < L.
+   true integer since chi(1)^2 <= |G| < L; |G| times the cluster's own
+   value at the identity class, beta_chi = chi(1)^2 / |G|, must agree.
 
 Degrees are returned as a sorted multiset; with a fixed seed the run is
 deterministic, and across seeds the multiset is identical by construction.
@@ -37,19 +40,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
+from collections import Counter
+from operator import add, itemgetter
 from typing import Callable, Sequence
 
 from .errors import ConsistencyError, EngineSplitError, SizeLimitError
 from .landau import is_prime
-from .modlinalg import (
-    charpoly,
-    distinct_roots,
-    hessenberg,
-    hessenberg_eigenspace,
-    mat_vec,
-    solve_in_span,
-)
+from .modlinalg import distinct_roots, krylov_minpoly, mat_vec
 
 DEFAULT_ORDER_LIMIT = 5000
 DEFAULT_CLOSURE_LIMIT = 100_000
@@ -234,7 +231,6 @@ def group_from_elements(
     generators: Sequence,
     mul: Callable,
     identity,
-    inv: Callable | None = None,
     max_order: int = DEFAULT_CLOSURE_LIMIT,
     name: str = "",
 ) -> FiniteGroup:
@@ -242,7 +238,8 @@ def group_from_elements(
 
     Elements are numbered in breadth-first order from the identity.  The
     products x * g the closure computes anyway are kept as integer tables,
-    and the callback is not used once the closure is done.
+    and the callback is not used once the closure is done: inverses come
+    from the tables too.
     """
     elements = [identity]
     index = {identity: 0}
@@ -267,56 +264,48 @@ def group_from_elements(
             right[t].append(y_idx)
     if not gen_elems:  # trivial group: the identity is its one generator
         right = [[0]]
-    group = FiniteGroup(
+    return FiniteGroup(
         elements=elements,
         index=index,
         identity=0,
-        inverse=[],
+        inverse=_inverse_table(right, words),
         generators=[index[g] for g in gen_elems] or [0],
         name=name,
         _right=right,
         _words=words,
     )
-    group.inverse = _inverse_table(group, inv)
-    return group
 
 
-def _inverse_table(group: FiniteGroup, inv: Callable | None) -> list[int]:
-    n = group.order
-    if inv is not None:
-        return [group.index[inv(e)] for e in group.elements]
-    out = [-1] * n
-    out[0] = 0
-    for i in range(n):
-        if out[i] != -1:
-            continue
-        # walk the cyclic subgroup <i>; powers pair up with inverses
-        path = [i]
-        x = group.mul(i, i)
-        while x != group.identity:
-            if len(path) == n:
-                raise ConsistencyError(
-                    f"no power of element {i} up to the group order is the "
-                    "identity: the composition is not a group law"
-                )
-            path.append(x)
-            x = group.mul(x, i)
-        k = len(path) + 1  # order of element i
-        for a, elem in enumerate(path, start=1):
-            out[elem] = path[k - a - 1] if k - a > 0 else group.identity
+def _inverse_table(
+    right: list[list[int]], words: list[tuple[int, ...]]
+) -> list[int]:
+    """x = e g_t1 ... g_tk along its word, so x^-1 = e g_tk^-1 ... g_t1^-1:
+    the word walked backwards through the inverted right tables.  Whether
+    x^-1 x = x x^-1 = e is left to `validate`."""
+    n = len(words)
+    inverted = []
+    for right_t in right:
+        inverted_t = [-1] * n
+        for x, y in enumerate(right_t):
+            inverted_t[y] = x
+        if -1 in inverted_t:
+            raise ConsistencyError(
+                "products by a generator are not a bijection: the "
+                "composition is not a group law"
+            )
+        inverted.append(inverted_t)
+    out = []
+    for word in words:
+        x = 0
+        for t in reversed(word):
+            x = inverted[t][x]
+        out.append(x)
     return out
 
 
 def _compose_perms(a: tuple, b: tuple) -> tuple:
     """(a o b)(x) = a(b(x)); itemgetter returns a bare entry for degree 1."""
     return itemgetter(*b)(a) if len(b) > 1 else (a[b[0]],)
-
-
-def _invert_perm(a: tuple) -> tuple:
-    out = [0] * len(a)
-    for i, ai in enumerate(a):
-        out[ai] = i
-    return tuple(out)
 
 
 def group_from_permutations(
@@ -344,7 +333,6 @@ def group_from_permutations(
         gens,
         _compose_perms,
         tuple(range(degree)),
-        inv=_invert_perm,
         max_order=max_order,
         name=name,
     )
@@ -557,60 +545,129 @@ def _splitting_prime(order: int, exponent: int) -> int:
         k += 1
 
 
-def _class_matrices(group: FiniteGroup, cc: ConjugacyClasses) -> list[list[list[int]]]:
-    """Structure constants a_ijk with K_i K_j = sum_k a_ijk K_k, laid out
-    as c matrices M_i = (a_ijk)_jk.  a_ijk counts the x in K_i with
-    x^-1 z_k in K_j, read off the right-regular permutation of z_k."""
+def _class_matrices(
+    group: FiniteGroup, cc: ConjugacyClasses
+) -> list[list[tuple[int, int, int]]]:
+    """Structure constants a_ijk with K_i K_j = sum_k a_ijk K_k, as one
+    list per class i of its nonzero (j, k, a_ijk).  a_ijk counts the x in
+    K_i with x^-1 z_k in K_j, read off the right-regular permutation of
+    z_k: the classes of x^-1 z_k for all x come from two itemgetter calls,
+    and Counter counts the codes i c + j.  Needs |G| > 1, since
+    itemgetter of one index returns a bare entry."""
     c = len(cc.reps)
-    mats = [[[0] * c for _ in range(c)] for _ in range(c)]
     class_of = cc.class_of
+    at_inverse = itemgetter(*group.inverse)
+    row_codes = [i * c for i in class_of]
+    triples: list[list[tuple[int, int, int]]] = [[] for _ in range(c)]
     for k, zk in enumerate(cc.reps):
-        rho = group.right_regular(zk)
-        for x, x_inv in enumerate(group.inverse):
-            mats[class_of[x]][class_of[rho[x_inv]]][k] += 1
-    return mats
+        classes = itemgetter(*at_inverse(group.right_regular(zk)))(class_of)
+        for code, a in Counter(map(add, row_codes, classes)).items():
+            i, j = divmod(code, c)
+            triples[i].append((j, k, a))
+    return triples
 
 
-def _refine_space(basis, combo, L, rng):
-    """Split an invariant subspace into eigenspaces of `combo`.
+def _krylov_split(v: list[int], combo, L: int, rng) -> list[list[int]]:
+    """Split a cluster vector v into its projections onto the eigenspaces
+    of combo, one per eigenvalue that v sees.
 
-    basis: list of independent vectors, or None meaning the full space.
-    Returns a list of bases whose dimensions sum to the input dimension.
-    Eigenvectors come from the Hessenberg form the characteristic
-    polynomial is computed on, and each is checked against the matrix.
+    With mu the minimal polynomial of v, of degree r, and z one of its r
+    roots, q_z = mu / (x - z) kills every eigenspace but z's, so
+    y_z = q_z(combo) v is q_z(z) times the projection of v onto z's.  y_z
+    is formed from the stored powers combo^t v.  Since
+    (x - z) q_z = mu - mu(z), combo y_z - z y_z = mu(combo) v - mu(z) v:
+    checking mu(combo) v = 0 on the stored powers once, and mu(z) = 0 as
+    the remainder of each synthetic division, checks combo y_z = z y_z for
+    every z, exactly.  Also checked: mu has r distinct roots, no y_z
+    vanishes, and the projections sum to v.
     """
-    if basis is None:
-        rmat = combo
-        dim = len(combo)
-    else:
-        dim = len(basis)
-        images = [mat_vec(combo, vec, L) for vec in basis]
-        rmat_cols = solve_in_span(basis, images, L)
-        rmat = [[rmat_cols[j][i] for j in range(dim)] for i in range(dim)]
-    h, steps = hessenberg(rmat, L)
-    poly = charpoly(h, L)  # h is already reduced, so this is the recurrence
+    mu, powers = krylov_minpoly(combo, v, L)
+    r = len(mu) - 1
+    columns = list(zip(*powers))  # combo^t v at coordinate j, t = 0..r
+    if any(mat_vec(columns, mu, L)):
+        raise ConsistencyError("mu(combo) v is not zero for the minimal polynomial")
+    roots = distinct_roots(mu, L, rng)
+    if len(roots) != r:
+        raise ConsistencyError(
+            "minimal polynomial of a cluster vector has repeated or "
+            "missing roots: the class algebra is not split over F_L"
+        )
     pieces = []
-    total = 0
-    for z in distinct_roots(poly, L, rng):
-        kernel = hessenberg_eigenspace(h, steps, z, L)
-        for y in kernel:
-            if mat_vec(rmat, y, L) != [z * t % L for t in y]:
-                raise ConsistencyError("eigenspace vector fails rmat v = z v")
-        if basis is None:
-            vecs = kernel
-        else:
-            vecs = [
-                [
-                    sum(y[t] * basis[t][idx] for t in range(dim)) % L
-                    for idx in range(len(basis[0]))
-                ]
-                for y in kernel
-            ]
-        total += len(vecs)
-        pieces.append(vecs)
-    if total != dim:
-        raise ConsistencyError("eigenspace dimensions do not sum up")
+    for z in roots:
+        q = [1]  # mu / (x - z), from the top: mu is monic
+        for coef in mu[r - 1:0:-1]:
+            q.append((coef + z * q[-1]) % L)
+        if (mu[0] + z * q[-1]) % L:
+            raise ConsistencyError(f"{z} is not a root of the minimal polynomial")
+        q_at_z = 0
+        for coef in q:
+            q_at_z = (q_at_z * z + coef) % L
+        q.reverse()
+        y = mat_vec(columns, q, L)  # q has r terms, so powers 0..r-1
+        if not any(y):
+            raise ConsistencyError("a projection of a cluster vector vanishes")
+        scale = pow(q_at_z, -1, L)
+        pieces.append([t * scale % L for t in y])
+    if [sum(col) % L for col in zip(*pieces)] != powers[0]:
+        raise ConsistencyError("projections of a cluster vector do not sum to it")
     return pieces
+
+
+def _identity_projections(
+    mats: list[list[tuple[int, int, int]]],
+    identity_class: int,
+    L: int,
+    rng,
+    max_rounds: int,
+) -> list[list[int]]:
+    """The projections of the identity class onto the c central characters.
+
+    Let e be the unit vector at the identity class and omega_chi the
+    central character of chi, omega_chi(K_k) = |K_k| chi(z_k) / chi(1).
+    M_i omega_chi = omega_chi(K_i) omega_chi for every class matrix, so a
+    combination A = sum_i w_i M_i has omega_chi as an eigenvector, with
+    eigenvalue sum_i w_i omega_chi(K_i).  Why the clusters end as the c
+    vectors beta_chi omega_chi:
+
+    - e = sum_chi beta_chi omega_chi with beta_chi = chi(1)^2 / |G|, by
+      column orthogonality: sum_chi chi(1) chi(z_k) is |G| at the identity
+      class and 0 at every other.  beta_chi is the identity-class
+      coefficient of the central idempotent of chi, a unit mod L since
+      L > |G|.
+    - The omega_chi reduce mod L to a basis of F_L^c (Dixon), so a cluster
+      sum_{chi in S} beta_chi omega_chi has a well-defined support S.  Its
+      projection onto the z-eigenspace of A is the sum over the chi in S
+      of eigenvalue z: it keeps exactly those chi, with their nonzero
+      coefficients.
+    - So the clusters always have disjoint nonempty supports, which cover
+      every chi.  There are at most c of them, and c clusters are the c
+      single beta_chi omega_chi.
+
+    Each round draws one random combination A and splits every cluster by
+    `_krylov_split`.  Two chi stay together in a round only when their
+    eigenvalues agree, which for distinct chi happens with chance 1/L.
+    """
+    c = len(mats)
+    clusters = [[1 if k == identity_class else 0 for k in range(c)]]
+    for _ in range(max_rounds):
+        if len(clusters) == c:
+            break
+        combo = [[0] * c for _ in range(c)]
+        for triples in mats:
+            w = rng.randrange(L)
+            if w:
+                for j, k, a in triples:
+                    combo[j][k] += w * a
+        combo = [[x % L for x in row] for row in combo]
+        clusters = [y for v in clusters for y in _krylov_split(v, combo, L, rng)]
+        if len(clusters) > c:
+            raise ConsistencyError(f"{len(clusters)} clusters for {c} classes")
+    if len(clusters) != c:
+        raise EngineSplitError(
+            f"{len(clusters)} of {c} central characters separated after "
+            f"{max_rounds} rounds"
+        )
+    return clusters
 
 
 def irreducible_degrees(
@@ -635,46 +692,15 @@ def irreducible_degrees(
     for rep in cc.reps:
         exponent = math.lcm(exponent, group.element_order(rep))
     L = _splitting_prime(group.order, exponent)
-    mats = _class_matrices(group, cc)
-
-    rng = random.Random(seed)
-    spaces: list = [None]
-
-    def fully_split() -> bool:
-        return all(s is not None and len(s) == 1 for s in spaces)
-
-    for _ in range(max_rounds):
-        if fully_split():
-            break
-        weights = [rng.randrange(L) for _ in range(c)]
-        combo = [[0] * c for _ in range(c)]
-        for i in range(c):
-            wi = weights[i]
-            if wi == 0:
-                continue
-            mat_i = mats[i]
-            for j in range(c):
-                row = combo[j]
-                src = mat_i[j]
-                for k in range(c):
-                    if src[k]:
-                        row[k] = (row[k] + wi * src[k]) % L
-        next_spaces = []
-        for s in spaces:
-            if s is not None and len(s) == 1:
-                next_spaces.append(s)
-            else:
-                next_spaces.extend(_refine_space(s, combo, L, rng))
-        spaces = next_spaces
-    if not fully_split():
-        raise EngineSplitError(
-            f"common eigenspaces not separated after {max_rounds} rounds"
-        )
+    identity_class = cc.class_of[group.identity]
+    clusters = _identity_projections(
+        _class_matrices(group, cc), identity_class, L, random.Random(seed),
+        max_rounds,
+    )
 
     size_inv = [pow(sz, -1, L) for sz in cc.sizes]
-    identity_class = cc.class_of[group.identity]
     degrees = []
-    for (w,) in spaces:
+    for w in clusters:
         w0 = w[identity_class] % L
         if w0 == 0:
             raise ConsistencyError("eigenvector vanishes at the identity class")
@@ -688,6 +714,12 @@ def irreducible_degrees(
         d_squared = group.order * pow(s, -1, L) % L
         if not 1 <= d_squared <= group.order:
             raise ConsistencyError(f"degree^2 = {d_squared} out of range")
+        if d_squared != group.order * w0 % L:
+            # w = beta_chi omega_chi, and |G| beta_chi = chi(1)^2
+            raise ConsistencyError(
+                f"degree^2 = {d_squared} disagrees with the projection of "
+                "the identity class"
+            )
         d = math.isqrt(d_squared)
         if d * d != d_squared:
             raise ConsistencyError(f"degree^2 = {d_squared} is not a square")

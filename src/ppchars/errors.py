@@ -15,7 +15,8 @@ class SearchExhaustedError(RuntimeError):
 
 
 class EngineSplitError(RuntimeError):
-    """Eigenspace refinement did not terminate within the round budget.
+    """The degree engine's split did not reach one cluster per class
+    within the round budget.
 
     Retriable: rerun with a different seed.
     """

@@ -12,14 +12,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
-# (covers 64-bit inputs with a wide margin).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from .errors import SizeLimitError
+
+# Deterministic Miller-Rabin: the first 13 primes as bases are proven for
+# every n below psi_13 = 3,317,044,064,679,887,385,961,981 (Sorenson and
+# Webster 2015), the least strong pseudoprime to all of them.  The first 12
+# are proven only below psi_12 = 318,665,857,834,031,151,167,461, which is
+# 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality below psi_13 (about 3.3 * 10^24).  A number at or
+    above it that passes every base is refused with SizeLimitError, since
+    the bases prove nothing there."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -42,6 +51,11 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_PROVEN_BELOW:
+        raise SizeLimitError(
+            f"{n} passes Miller-Rabin to bases 2..41, which proves "
+            f"primality only below {_MR_PROVEN_BELOW}"
+        )
     return True
 
 
@@ -63,7 +77,9 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}; exact for 64-bit inputs."""
+    """Prime factorization as {prime: exponent}; exact, and refused with
+    SizeLimitError when a cofactor of at least psi_13 (about 3.3 * 10^24)
+    passes every Miller-Rabin base of `is_prime`."""
     if n < 1:
         raise ValueError("n must be positive")
     out: dict[int, int] = {}

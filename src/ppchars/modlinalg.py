@@ -11,6 +11,7 @@ any rows and return lists.
 from __future__ import annotations
 
 import random
+from operator import mul
 
 from .errors import ConsistencyError
 
@@ -34,7 +35,7 @@ def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: list, p: int) -> list:
-    return [sum(row[k] * v[k] for k in range(len(v))) % p for row in a]
+    return [sum(map(mul, row, v)) % p for row in a]
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -132,19 +133,48 @@ def solve_in_span(basis: list[list], targets: list[list], p: int) -> list[list]:
     return [[rows[piv_of_col[c]][k + j] for c in range(k)] for j in range(t)]
 
 
-def hessenberg(a: Matrix, p: int) -> tuple[Matrix, list]:
-    """Upper Hessenberg form h = S a S^-1 over F_p, with the steps of S.
+def krylov_minpoly(a: Matrix, v: list, p: int) -> tuple[Poly, list[list]]:
+    """Minimal polynomial mu of v under a over F_p, and the powers
+    v, a v, ..., a^r v with r = deg mu.
+
+    Each new power is reduced against the echelon rows of the earlier
+    ones, whose expressions as polynomials in a applied to v are carried
+    along; the first power that reduces to zero gives mu.  O(r c^2) for the
+    products and O(r^2 c) for the reduction, for vectors of length c.
+    """
+    powers = [[x % p for x in v]]
+    rows = []  # (pivot, row normalized to 1 at the pivot, its polynomial)
+    while True:
+        u = list(powers[-1])
+        expr = [0] * (len(powers) - 1) + [1]
+        for pivot, row, poly in rows:
+            t = u[pivot] % p
+            if t:
+                # entries stay unreduced until the zero test: the pivots
+                # are read mod p, and r terms of size p^2 stay small
+                u = [x - t * y for x, y in zip(u, row)]
+                expr[:len(poly)] = [x - t * y for x, y in zip(expr, poly)]
+        u = [x % p for x in u]
+        pivot = next((i for i, x in enumerate(u) if x), None)
+        if pivot is None:
+            return [x % p for x in expr], powers
+        inv = pow(u[pivot], -1, p)
+        rows.append((pivot, [x * inv % p for x in u],
+                     [x * inv % p for x in expr]))
+        powers.append(mat_vec(a, powers[-1], p))
+
+
+def hessenberg(a: Matrix, p: int) -> list[list]:
+    """Upper Hessenberg form h = S a S^-1 over F_p.
 
     Column by column, a pivot is swapped to the subdiagonal and the entries
     below it are cleared by row operations, each paired with the inverse
     column operation.  A column already clear below the subdiagonal is left
-    alone, so a matrix in Hessenberg form comes back unchanged.  The steps
-    are what `hessenberg_eigenspace` needs to map vectors back through S.
+    alone, so a matrix in Hessenberg form comes back unchanged.
     O(n^3) field operations.
     """
     n = len(a)
     h = [[x % p for x in row] for row in a]
-    steps = []
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if h[i][j]), None)
         if piv is None:
@@ -154,7 +184,6 @@ def hessenberg(a: Matrix, p: int) -> tuple[Matrix, list]:
             for row in h:
                 row[j + 1], row[piv] = row[piv], row[j + 1]
         inv = pow(h[j + 1][j], -1, p)
-        eliminations = []
         for i in range(j + 2, n):
             if h[i][j]:
                 t = h[i][j] * inv % p
@@ -162,9 +191,7 @@ def hessenberg(a: Matrix, p: int) -> tuple[Matrix, list]:
                 h[i] = [(x - t * y) % p for x, y in zip(h[i], hj1)]
                 for row in h:
                     row[j + 1] = (row[j + 1] + t * row[i]) % p
-                eliminations.append((i, t))
-        steps.append((j, piv, eliminations))
-    return h, steps
+    return h
 
 
 def charpoly(a: Matrix, p: int) -> Poly:
@@ -177,7 +204,7 @@ def charpoly(a: Matrix, p: int) -> Poly:
     n = len(a)
     if n == 0:
         return [1]
-    h, _ = hessenberg(a, p)
+    h = hessenberg(a, p)
     polys = [[1]]
     for k in range(1, n + 1):
         prev = polys[k - 1]
@@ -195,66 +222,6 @@ def charpoly(a: Matrix, p: int) -> Poly:
                     cur[idx] = (cur[idx] - coef * pm[idx]) % p
         polys.append(cur)
     return polys[n]
-
-
-def hessenberg_eigenspace(h: Matrix, steps: list, z: int, p: int) -> list[list]:
-    """Basis of ker(a - z I), given (h, steps) = hessenberg(a, p).
-
-    Forward elimination on h - z I: column j is nonzero only in rows up to
-    j + 1, so it needs one row operation plus one per pivot-free column
-    seen so far.  For a kernel of dimension d that is O(d n^2) in all,
-    against O(n^3) for a dense elimination.  Back-substitution gives one
-    kernel vector per pivot-free column, and each is mapped back through
-    the inverse similarity.
-    """
-    n = len(h)
-    rows = [list(row) for row in h]
-    for i in range(n):
-        rows[i][i] = (rows[i][i] - z) % p
-    pivots = []  # pivots[r] = pivot column of echelon row r
-    r = 0
-    for j in range(n):
-        last = min(j + 1, n - 1)
-        piv = next((i for i in range(r, last + 1) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = pow(prow[j], -1, p)
-        for i in range(r + 1, last + 1):
-            row = rows[i]
-            if row[j]:
-                t = row[j] * inv % p
-                row[j:] = [(x - t * y) % p for x, y in zip(row[j:], prow[j:])]
-        pivots.append(j)
-        r += 1
-    pivot_set = set(pivots)
-    inverses = [pow(rows[rr][pc], -1, p) for rr, pc in enumerate(pivots)]
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for rr in range(len(pivots) - 1, -1, -1):
-            pc = pivots[rr]
-            if pc > free:
-                continue  # every entry right of pc is still zero
-            row = rows[rr]
-            s = sum(row[k] * v[k] for k in range(pc + 1, free + 1))
-            v[pc] = -s * inverses[rr] % p
-        basis.append(_undo_hessenberg(steps, v, p))
-    return basis
-
-
-def _undo_hessenberg(steps: list, v: list, p: int) -> list:
-    """S^-1 v, in place, for the similarity S recorded by `hessenberg`."""
-    for j, piv, eliminations in reversed(steps):
-        vj1 = v[j + 1]
-        for i, t in eliminations:
-            v[i] = (v[i] + t * vj1) % p
-        v[j + 1], v[piv] = v[piv], v[j + 1]
-    return v
 
 
 # ---------------------------------------------------------------------------

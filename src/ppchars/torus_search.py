@@ -56,7 +56,9 @@ def _divisors(n: int) -> list[int]:
 
 def _mk_hits(family, q, r, f, n, torus, base, field_order, label_fn) -> list[TorusHit]:
     """All (u | field_order) candidates with (base*u)^2 + 1 = torus prime."""
-    if torus < 5 or not is_prime(torus) or not is_perfect_square(torus - 1):
+    # the square test first: it is exact at any size, while is_prime
+    # refuses a number past its proven range that passes every base
+    if torus < 5 or not is_perfect_square(torus - 1) or not is_prime(torus):
         return []
     m_required = math.isqrt(torus - 1)
     hits = []

@@ -8,11 +8,18 @@ from hypothesis import strategies as st
 
 from ppchars import constructions, engine, symmetric
 from ppchars import modlinalg as ml
-from ppchars.errors import ConsistencyError, SizeLimitError
+from ppchars.errors import ConsistencyError, EngineSplitError, SizeLimitError
 
 
 def _perm_compose(a, b):
     return tuple(map(a.__getitem__, b))
+
+
+def _perm_invert(a):
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        out[ai] = i
+    return tuple(out)
 
 
 def _affine_ops(p):
@@ -35,7 +42,7 @@ def _criterion_8_corpus():
     """The engine acceptance corpus, each group with element-level maps
     z -> (x -> x z) and x -> x^-1.  For a permutation, x z = x o z is
     itemgetter(*z)(x)."""
-    perm = (lambda z: operator.itemgetter(*z), engine._invert_perm)
+    perm = (lambda z: operator.itemgetter(*z), _perm_invert)
     gamma = constructions.build_gamma_l(5, 19)
     return [
         (engine.cyclic_group(12), perm),
@@ -247,18 +254,26 @@ def test_index_mul_and_right_regular_match_callback():
 
 def test_class_matrices_match_tuple_formula():
     """a_ijk = #{x in K_i : x^-1 z_k in K_j}, with x^-1 z_k formed from the
-    elements themselves rather than from the index tables."""
+    elements themselves rather than from the index tables; the engine
+    lists the nonzero (j, k, a_ijk) of each class i, each once.  The
+    inverses from the index tables match the element-level ones too."""
     for g, (right_multiplier, invert) in _criterion_8_corpus():
         cc = engine.conjugacy_classes(g)
         c = len(cc.reps)
         expected = [[[0] * c for _ in range(c)] for _ in range(c)]
         inverses = [invert(x) for x in g.elements]
+        assert [g.index[x] for x in inverses] == g.inverse, g.name
         for k, zk in enumerate(cc.reps):
             times_z = right_multiplier(g.elements[zk])
             for x, x_inv in enumerate(inverses):
                 j = cc.class_of[g.index[times_z(x_inv)]]
                 expected[cc.class_of[x]][j][k] += 1
-        assert engine._class_matrices(g, cc) == expected, g.name
+        sparse = [
+            sorted((j, k, a) for j, row in enumerate(mat)
+                   for k, a in enumerate(row) if a)
+            for mat in expected
+        ]
+        assert [sorted(t) for t in engine._class_matrices(g, cc)] == sparse, g.name
 
 
 def test_table_groups_get_small_generating_sets():
@@ -334,3 +349,100 @@ def test_closure_validation_is_exact_on_random_right_tables(perms):
         assert not associative
     else:
         assert associative
+
+
+def _splitting_prime_of(g, cc):
+    exponent = math.lcm(*(g.element_order(r) for r in cc.reps))
+    return engine._splitting_prime(g.order, exponent)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=7).flatmap(
+    lambda k: st.lists(st.permutations(range(k)), min_size=1, max_size=2)
+))
+def test_degrees_of_random_permutation_groups(perms):
+    """Invariants of the degree multiset on groups of at most 7 points, up
+    to S7: sum of squares, one degree per class, the linear characters
+    against the derived subgroup, divisibility, and the seed."""
+    g = engine.group_from_permutations([tuple(p) for p in perms])
+    degrees = engine.irreducible_degrees(g, order_limit=5040)
+    assert degrees.sum_of_squares() == g.order
+    assert len(degrees.degrees) == len(engine.conjugacy_classes(g, 5040).reps)
+    assert degrees.linear_count() == engine.derived_subgroup_index(g)
+    assert all(g.order % d == 0 for d in degrees.degrees)
+    assert engine.irreducible_degrees(g, seed=1, order_limit=5040) == degrees
+
+
+def _c4_c4_c5():
+    return engine.group_from_permutations([
+        (1, 2, 3, 0) + tuple(range(4, 13)),
+        (0, 1, 2, 3, 5, 6, 7, 4) + tuple(range(8, 13)),
+        tuple(range(8)) + (9, 10, 11, 12, 8),
+    ])
+
+
+def test_split_needs_more_than_one_round_when_L_is_small():
+    """C4 x C4 x C5 has 80 classes but L = 101 < 80^2, so one random
+    combination of the class matrices leaves some of the 80 eigenvalues
+    equal, and the split goes on to another round."""
+    g = _c4_c4_c5()
+    cc = engine.conjugacy_classes(g)
+    assert len(cc.reps) == 80 and _splitting_prime_of(g, cc) == 101
+    with pytest.raises(EngineSplitError):
+        engine.irreducible_degrees(g, max_rounds=1)
+    assert engine.irreducible_degrees(g).degrees == (1,) * 80
+
+
+def test_projections_are_common_eigenvectors_of_every_class_matrix():
+    """Each final cluster is beta_chi omega_chi, so every dense class matrix
+    M_i maps it to omega_chi(K_i) times itself, with omega_chi(K_i) read
+    off as its entry at K_i over its entry at the identity class.  C4 x C4
+    has L = 29 < 16^2, and its split takes two rounds."""
+    c4_c4 = engine.group_from_permutations(
+        [(1, 2, 3, 0, 4, 5, 6, 7), (0, 1, 2, 3, 5, 6, 7, 4)]
+    )
+    groups = [
+        engine.cyclic_group(12), engine.dihedral_group(10),
+        engine.symmetric_group(5), engine.alternating_group(6),
+        constructions.build_frobenius(17, 4)[0], c4_c4,
+    ]
+    for g in groups:
+        cc = engine.conjugacy_classes(g)
+        c = len(cc.reps)
+        L = _splitting_prime_of(g, cc)
+        mats = engine._class_matrices(g, cc)
+        dense = []
+        for triples in mats:
+            m = [[0] * c for _ in range(c)]
+            for j, k, a in triples:
+                m[j][k] = a
+            dense.append(m)
+        e = cc.class_of[g.identity]
+        clusters = engine._identity_projections(mats, e, L, random.Random(3), 64)
+        assert len(clusters) == c
+        assert [sum(col) % L for col in zip(*clusters)] == [
+            int(k == e) for k in range(c)
+        ]
+        for v in clusters:
+            scale = pow(v[e], -1, L)
+            for i, m in enumerate(dense):
+                eigenvalue = v[i] * scale % L
+                assert ml.mat_vec(m, v, L) == [eigenvalue * x % L for x in v]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=7).flatmap(
+    lambda k: st.lists(st.permutations(range(k)), min_size=1, max_size=2)
+))
+def test_classes_match_sympy(perms):
+    """Differential oracle: sympy's combinatorics finds the same number of
+    conjugacy classes with the same sizes."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    g = engine.group_from_permutations([tuple(p) for p in perms])
+    cc = engine.conjugacy_classes(g, 5040)
+    oracle = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(p)) for p in perms]
+    )
+    assert oracle.order() == g.order
+    sizes = sorted(len(k) for k in oracle.conjugacy_classes())
+    assert sorted(cc.sizes) == sizes

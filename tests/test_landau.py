@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppchars import landau
+from ppchars.errors import SizeLimitError
 
 
 def trial_division_is_prime(n):
@@ -30,6 +31,21 @@ def test_is_prime_large_semiprime():
     p, q = 1_000_003, 1_000_033
     assert landau.is_prime(p) and landau.is_prime(q)
     assert not landau.is_prime(p * q)
+
+
+def test_is_prime_beyond_the_proven_bases():
+    """psi_12 is a strong pseudoprime to the 12 bases 2 ... 37 but not to 41;
+    psi_13 passes all 13 bases 2 ... 41, where they prove nothing, so it is
+    refused rather than called prime."""
+    psi_12 = 318_665_857_834_031_151_167_461
+    assert not landau.is_prime(psi_12)
+    assert landau.factorize(psi_12) == {399_165_290_221: 1, 798_330_580_441: 1}
+    psi_13 = 3_317_044_064_679_887_385_961_981
+    with pytest.raises(SizeLimitError):
+        landau.is_prime(psi_13)
+    assert landau.is_prime(2**61 - 1)
+    with pytest.raises(SizeLimitError):  # a prime, but past the proof
+        landau.is_prime(2**89 - 1)
 
 
 def test_factorize():

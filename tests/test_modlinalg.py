@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ppchars import engine
 from ppchars import modlinalg as ml
 from ppchars.errors import ConsistencyError
 
@@ -112,42 +113,54 @@ def _rank(vectors, p):
     return len(vectors[0]) - len(ml.nullspace(vectors, p))
 
 
-def test_hessenberg_eigenspace_matches_nullspace():
+def test_krylov_split_matches_nullspace():
+    """On diagonalizable a over F_7, the split of v must be its projections
+    onto the eigenspaces ker(a - z I) that `nullspace` finds, one per
+    eigenvalue that v sees; a repeated or missing root must be refused."""
     rng = random.Random(17)
     p = 7
-    cases = []
-    for _ in range(40):  # dense random matrices
-        n = rng.randrange(1, 7)
-        cases.append([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-    for _ in range(30):  # repeated eigenvalues, eigenspaces of dimension >= 2
-        n = rng.randrange(2, 8)
-        diag = [rng.choice((0, 3, 5)) for _ in range(n)]
+    split = 0
+    for _ in range(60):
+        n = rng.randrange(1, 8)
+        diag = [rng.choice((0, 1, 3, 5)) for _ in range(n)]
         d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        if rng.random() < 0.5 and n >= 2:
-            d[0][1] = 1  # a Jordan block next to the semisimple part
-        cases.append(_conjugate_by_random(d, p, rng))
-    cases.append(ml.mat_identity(5))  # H = I: every subdiagonal is zero
-    cases.append([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 1, 2]])
-
-    reduced = big_kernel = 0
-    for a in cases:
-        n = len(a)
-        h, steps = ml.hessenberg(a, p)
-        assert all(h[i][j] == 0 for i in range(n) for j in range(i - 1))
-        assert ml.charpoly(h, p) == ml.charpoly(a, p)
-        reduced += any(h[i + 1][i] == 0 for i in range(n - 1))
-        for z in range(p):
+        a = _conjugate_by_random(d, p, rng)
+        v = [rng.randrange(p) for _ in range(n)]
+        if not any(v):
+            continue
+        mu, powers = ml.krylov_minpoly(a, v, p)
+        r = len(mu) - 1
+        assert mu[-1] == 1 and len(powers) == r + 1
+        assert _rank(powers[:r], p) == r
+        assert [sum(m * x for m, x in zip(mu, col)) % p
+                for col in zip(*powers)] == [0] * n
+        # v in the basis made of every eigenspace, grouped by eigenvalue
+        kernels = {}
+        for z in sorted(set(diag)):
             shifted = [[(a[i][j] - (z if i == j else 0)) % p for j in range(n)]
                        for i in range(n)]
-            expected = ml.nullspace(shifted, p)
-            got = ml.hessenberg_eigenspace(h, steps, z, p)
-            assert len(got) == len(expected)
-            assert _rank(got, p) == len(got)
-            for v in got:
-                assert ml.mat_vec(a, v, p) == [z * x % p for x in v]
-            big_kernel += len(got) >= 2
-    # the corpus really exercises a reduced H and multi-dimensional kernels
-    assert reduced >= 10 and big_kernel >= 10
+            kernels[z] = ml.nullspace(shifted, p)
+        basis = [b for z in kernels for b in kernels[z]]
+        (coeffs,) = ml.solve_in_span(basis, [v], p)
+        expected, at = [], 0
+        for z, kernel in kernels.items():
+            part = coeffs[at:at + len(kernel)]
+            at += len(kernel)
+            proj = [sum(c * b[i] for c, b in zip(part, kernel)) % p
+                    for i in range(n)]
+            if any(proj):
+                expected.append(proj)
+        pieces = engine._krylov_split(v, a, p, random.Random(0))
+        assert sorted(pieces) == sorted(expected)
+        assert len(pieces) == r
+        split += r >= 3
+    assert split >= 10
+    jordan = [[2, 1], [0, 2]]  # mu = (x - 2)^2
+    with pytest.raises(ConsistencyError):
+        engine._krylov_split([0, 1], jordan, p, random.Random(0))
+    rotation = [[0, 6], [1, 0]]  # mu = x^2 + 1, no root mod 7
+    with pytest.raises(ConsistencyError):
+        engine._krylov_split([1, 0], rotation, p, random.Random(0))
 
 
 def test_row_reduce_depends_only_on_row_space():
