@@ -18,13 +18,17 @@ Character degrees are computed by the classical modular method (Dixon):
    read off exactly;
 3. split the unit vector at the identity class into its projections onto
    the c common eigenvectors of the class matrices M_i = (a_ijk)_jk over
-   F_L (Dixon-Schneider, on cluster vectors instead of subspaces).  Each
-   round draws one random combination A of the M_i and splits every
-   cluster vector v by its Krylov sequence v, A v, A^2 v, ...: the first
-   dependency gives v's minimal polynomial mu, its roots z come from a gcd
-   with x^L - x and equal-degree splitting, and (mu / (x - z))(A) v is a
-   multiple of the projection of v onto A's z-eigenspace.  Every split is
-   checked in exact arithmetic, and the rounds stop at c clusters;
+   F_L (Dixon-Schneider, on cluster vectors instead of subspaces).  A
+   cluster's support, the number of central characters it still holds, is
+   one dot product with the class-matrix traces, so a cluster of support 1
+   is settled and never split again.  Each round draws one random
+   combination A of the M_i and splits every open cluster vector v by its
+   Krylov sequence v, A v, A^2 v, ...: the first dependency gives v's
+   minimal polynomial mu, its roots z come from a gcd with x^L - x and
+   equal-degree splitting, and (mu / (x - z))(A) v is a multiple of the
+   projection of v onto A's z-eigenspace.  Every split is checked in
+   exact arithmetic, the supports of the pieces must add up to the
+   parent's, and the rounds stop when every cluster is settled;
 4. each cluster, normalized at the identity class, gives the central
    character values w_j, and
    chi(1)^2 = |G| / sum_j w_j * w_{j*} / |C_j| evaluated in F_L equals the
@@ -213,6 +217,8 @@ class DegreeMultiset:
         return sum(1 for d in self.degrees if d == 1)
 
     def pprime_count(self, p: int) -> int:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         return sum(1 for d in self.degrees if d % p != 0)
 
 
@@ -613,8 +619,37 @@ def _krylov_split(v: list[int], combo, L: int, rng) -> list[list[int]]:
     return pieces
 
 
+def _support_weights(
+    mats: list[list[tuple[int, int, int]]], cc: ConjugacyClasses, L: int
+) -> list[int]:
+    """The weights t_j = tr(M_j) / |K_j| mod L, whose dot product with a
+    cluster vector is the size of its support.
+
+    A cluster is v = sum_{chi in S} beta_chi omega_chi (see
+    `_identity_projections`), and |S| = sum_j v[j] t_j mod L.  Proof: the
+    eigenvalues of M_j are the omega_psi(K_j) over all c characters psi,
+    so its trace tr_j = sum_k a_jkk is sum_psi omega_psi(K_j), and
+
+        sum_j v[j] tr_j / |K_j|
+          = sum_{chi in S} beta_chi sum_psi
+                sum_j omega_chi(K_j) omega_psi(K_j) / |K_j|
+          = sum_{chi in S} beta_chi sum_psi 1 / (chi(1) psi(1))
+                sum_j |K_j| chi(z_j) psi(z_j)
+          = sum_{chi in S} beta_chi |G| / chi(1)^2 = |S|
+
+    by first orthogonality: sum_j |K_j| chi(z_j) psi(z_j) is |G| when psi
+    is the complex conjugate of chi, which has the same degree, and 0
+    otherwise.  (tr_j = tr_{j*}, since conjugation permutes the psi.)
+    Every denominator is a unit mod L, since L > |G|, and
+    1 <= |S| <= c <= |G| < L, so the residue is the exact integer |S|.
+    """
+    traces = [sum(a for j, k, a in triples if j == k) for triples in mats]
+    return [tr * pow(size, -1, L) % L for tr, size in zip(traces, cc.sizes)]
+
+
 def _identity_projections(
     mats: list[list[tuple[int, int, int]]],
+    cc: ConjugacyClasses,
     identity_class: int,
     L: int,
     rng,
@@ -640,17 +675,22 @@ def _identity_projections(
       of eigenvalue z: it keeps exactly those chi, with their nonzero
       coefficients.
     - So the clusters always have disjoint nonempty supports, which cover
-      every chi.  There are at most c of them, and c clusters are the c
-      single beta_chi omega_chi.
+      every chi, and a cluster of support 1 is a single beta_chi omega_chi.
 
-    Each round draws one random combination A and splits every cluster by
-    `_krylov_split`.  Two chi stay together in a round only when their
-    eigenvalues agree, which for distinct chi happens with chance 1/L.
+    |S| is read off exactly by `_support_weights`.  e starts as the one
+    open cluster, of support c.  Each round draws one random combination
+    A and splits every open cluster by `_krylov_split`; the pieces'
+    supports must add up to their parent's, pieces of support 1 are
+    settled, and the rest stay open.  Two chi stay together in a round
+    only when their eigenvalues agree, which for distinct chi happens with
+    chance 1/L.
     """
     c = len(mats)
-    clusters = [[1 if k == identity_class else 0 for k in range(c)]]
+    weights = _support_weights(mats, cc, L)
+    settled = []
+    unsettled = [([int(k == identity_class) for k in range(c)], c)]
     for _ in range(max_rounds):
-        if len(clusters) == c:
+        if not unsettled:
             break
         combo = [[0] * c for _ in range(c)]
         for triples in mats:
@@ -659,15 +699,29 @@ def _identity_projections(
                 for j, k, a in triples:
                     combo[j][k] += w * a
         combo = [[x % L for x in row] for row in combo]
-        clusters = [y for v in clusters for y in _krylov_split(v, combo, L, rng)]
-        if len(clusters) > c:
-            raise ConsistencyError(f"{len(clusters)} clusters for {c} classes")
-    if len(clusters) != c:
+        still_open = []
+        for v, support in unsettled:
+            pieces = _krylov_split(v, combo, L, rng)
+            supports = [
+                sum(x * t for x, t in zip(y, weights)) % L for y in pieces
+            ]
+            if 0 in supports or sum(supports) != support:
+                raise ConsistencyError(
+                    f"the supports {supports} of the pieces of a cluster do "
+                    f"not add up to its support {support}"
+                )
+            for y, size in zip(pieces, supports):
+                if size == 1:
+                    settled.append(y)
+                else:
+                    still_open.append((y, size))
+        unsettled = still_open
+    if unsettled:
         raise EngineSplitError(
-            f"{len(clusters)} of {c} central characters separated after "
-            f"{max_rounds} rounds"
+            f"{len(settled) + len(unsettled)} of {c} central characters "
+            f"separated after {max_rounds} rounds"
         )
-    return clusters
+    return settled
 
 
 def irreducible_degrees(
@@ -694,8 +748,8 @@ def irreducible_degrees(
     L = _splitting_prime(group.order, exponent)
     identity_class = cc.class_of[group.identity]
     clusters = _identity_projections(
-        _class_matrices(group, cc), identity_class, L, random.Random(seed),
-        max_rounds,
+        _class_matrices(group, cc), cc, identity_class, L,
+        random.Random(seed), max_rounds,
     )
 
     size_inv = [pow(sz, -1, L) for sz in cc.sizes]

@@ -161,6 +161,9 @@ def verify_symmetric_bounds(n_max: int, primes=None, bound: int = ORACLE_BOUND) 
     if n_max > bound:
         raise SizeLimitError(f"oracle bound is n <= {bound}, got {n_max}")
     wanted = set(primes) if primes is not None else None
+    for p in sorted(wanted or ()):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
     rows = []
     with timer() as t:
         for n in range(1, n_max + 1):

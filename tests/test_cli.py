@@ -74,6 +74,25 @@ def test_verify_symmetric_subcommand():
     assert all(row["p"] in (5, 7) for row in report["rows"])
 
 
+def test_non_prime_p_is_refused():
+    # one error line and exit 1, with no report: before, --p 0 raised
+    # ZeroDivisionError, --p 4 printed a count, and --primes 4 checked nothing
+    for argv, p in (
+        (["degrees", "--group", "S4", "--p", "0"], 0),
+        (["degrees", "--group", "S4", "--p", "4"], 4),
+        (["degrees", "--group", "S4", "--p", "-3"], -3),
+        (["verify-symmetric", "--max-n", "10", "--primes", "4"], 4),
+        (["verify-symmetric", "--max-n", "10", "--primes", "5,9"], 9),
+        (["frobenius", "--p", "4"], 4),
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(argv)
+        assert code == 1, argv
+        assert out == "", argv
+        assert err.getvalue() == f"error: {p} is not prime\n", argv
+
+
 def test_bounds_modes():
     for flags in (["--table1"], ["--table2"], ["--defining"]):
         code, out = run_cli(["bounds"] + flags)

@@ -109,6 +109,19 @@ def test_a5():
     assert engine.derived_subgroup_index(g) == 1
 
 
+def test_pprime_count_refuses_a_non_prime():
+    # before, p = 0 raised ZeroDivisionError and p = 4 gave a count
+    g = engine.alternating_group(5)
+    degrees = engine.irreducible_degrees(g)
+    for p in (0, 1, 4, -3, -5):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            degrees.pprime_count(p)
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            engine.pprime_degree_count(degrees, p)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        engine.pprime_degree_count(g, 4)
+
+
 def test_a6_known_degree_list():
     degrees = engine.irreducible_degrees(engine.alternating_group(6))
     assert degrees.degrees == (1, 5, 5, 8, 8, 9, 10)
@@ -418,7 +431,9 @@ def test_projections_are_common_eigenvectors_of_every_class_matrix():
                 m[j][k] = a
             dense.append(m)
         e = cc.class_of[g.identity]
-        clusters = engine._identity_projections(mats, e, L, random.Random(3), 64)
+        clusters = engine._identity_projections(
+            mats, cc, e, L, random.Random(3), 64
+        )
         assert len(clusters) == c
         assert [sum(col) % L for col in zip(*clusters)] == [
             int(k == e) for k in range(c)
@@ -428,6 +443,76 @@ def test_projections_are_common_eigenvectors_of_every_class_matrix():
             for i, m in enumerate(dense):
                 eigenvalue = v[i] * scale % L
                 assert ml.mat_vec(m, v, L) == [eigenvalue * x % L for x in v]
+
+
+def _support(v, weights, L):
+    return sum(x * t for x, t in zip(v, weights)) % L
+
+
+def test_support_count_of_clusters():
+    """The trace weights count the central characters a cluster holds: c
+    for the identity class, 1 for each final cluster and 2 for the sum of
+    two of them."""
+    groups = [
+        engine.cyclic_group(12), engine.dihedral_group(10),
+        engine.symmetric_group(5), engine.alternating_group(6),
+        constructions.build_frobenius(17, 4)[0], _c4_c4_c5(),
+    ]
+    for g in groups:
+        cc = engine.conjugacy_classes(g)
+        c = len(cc.reps)
+        L = _splitting_prime_of(g, cc)
+        mats = engine._class_matrices(g, cc)
+        e = cc.class_of[g.identity]
+        weights = engine._support_weights(mats, cc, L)
+        assert _support([int(k == e) for k in range(c)], weights, L) == c
+        clusters = engine._identity_projections(
+            mats, cc, e, L, random.Random(5), 64
+        )
+        assert len(clusters) == c
+        assert all(_support(v, weights, L) == 1 for v in clusters)
+        for u, v in zip(clusters, clusters[1:]):
+            both = [(x + y) % L for x, y in zip(u, v)]
+            assert _support(both, weights, L) == 2
+
+
+def test_settled_clusters_are_not_split_again(monkeypatch):
+    """C4 x C4 x C5 (L = 101) takes several rounds, and no cluster of
+    support 1 is ever handed to the Krylov split."""
+    g = _c4_c4_c5()
+    cc = engine.conjugacy_classes(g)
+    L = _splitting_prime_of(g, cc)
+    weights = engine._support_weights(engine._class_matrices(g, cc), cc, L)
+    split = engine._krylov_split
+    supports = []
+
+    def recording_split(v, combo, L, rng):
+        supports.append(_support(v, weights, L))
+        return split(v, combo, L, rng)
+
+    monkeypatch.setattr(engine, "_krylov_split", recording_split)
+    for seed in range(3):
+        assert engine.irreducible_degrees(g, seed=seed).degrees == (1,) * 80
+    assert supports and min(supports) >= 2
+    assert supports.count(80) == 3  # one split of the identity per run
+
+
+def test_support_check_refuses_a_false_split(monkeypatch):
+    """Pieces that sum to the cluster but are not projections are caught
+    by their supports: S5 has 7 classes, and halving the identity vector
+    gives two pieces of support (7 + L) / 2 each; a zero piece has
+    support 0."""
+    def halves(v, combo, L, rng):
+        half = [x * pow(2, -1, L) % L for x in v]
+        return [half, half]
+
+    def with_zero(v, combo, L, rng):
+        return [list(v), [0] * len(v)]
+
+    for fake in (halves, with_zero):
+        monkeypatch.setattr(engine, "_krylov_split", fake)
+        with pytest.raises(ConsistencyError, match="supports"):
+            engine.irreducible_degrees(engine.symmetric_group(5))
 
 
 @settings(max_examples=40, deadline=None)

@@ -70,6 +70,28 @@ def test_distinct_roots_vs_scan():
         assert ml.distinct_roots(f, p, random.Random(0)) == expected
 
 
+def test_distinct_roots_of_known_factors():
+    """f = (x^2 - n) prod (x - z) over a random set of distinct z, with n a
+    non-square, so that the quadratic has no root: exactly the z come back,
+    a repeated factor gives its root once, and a constant has no roots."""
+    rng = random.Random(11)
+    for p in (31, 101, 241):
+        n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        quadratic = [(-n) % p, 0, 1]
+        for _ in range(10):
+            roots = sorted(rng.sample(range(p), rng.randrange(0, 7)))
+            f = quadratic
+            for z in roots:
+                f = ml.poly_mul(f, [(-z) % p, 1], p)
+            assert ml.distinct_roots(f, p, rng) == roots
+            if roots:
+                z = rng.choice(roots)
+                squared = ml.poly_mul(f, [(-z) % p, 1], p)
+                assert ml.distinct_roots(squared, p, rng) == roots
+        for constant in ([0], [1], [p - 1], [5, 0, 0]):
+            assert ml.distinct_roots(constant, p, rng) == []
+
+
 def test_poly_divmod_roundtrip():
     rng = random.Random(7)
     for _ in range(40):
