@@ -14,6 +14,8 @@ import math
 import os
 import sys
 from collections import Counter
+from collections.abc import Callable
+from functools import partial
 
 from . import constructions, engine, landau, lie_bounds, symmetric, torus_search
 from .errors import ConsistencyError, UsageError
@@ -25,46 +27,62 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ppchars",
         description="Exact verification of p'-degree character counts",
     )
+
+    # argparse names a malformed value by its type function: exit 2
+    def int_list(text):
+        return [int(x) for x in text.split(",")]
+
+    def int_or_auto(text):
+        return text if text == "auto" else int(text)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=0,
                         help="PRNG seed for the degree engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, handler, **kwargs):
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_parser("partitions", help="pi(n) and split counts k(m, s)")
+    p = add_parser("partitions", _cmd_partitions,
+                   help="pi(n) and split counts k(m, s)")
     p.add_argument("--pi", type=int, metavar="N")
     p.add_argument("--k", type=int, nargs=2, metavar=("M", "S"))
 
-    p = add_parser("verify-symmetric",
-                       help="digit-product formula vs hook-length oracle")
+    p = add_parser("verify-symmetric", _cmd_verify_symmetric,
+                   help="digit-product formula vs hook-length oracle")
     p.add_argument("--max-n", type=int, default=25)
-    p.add_argument("--primes", type=str, default=None,
+    p.add_argument("--primes", type=int_list, default=None,
                    help="comma separated primes, default all p <= n")
 
-    p = add_parser("degrees", help="irreducible degrees of a small group")
+    p = add_parser("degrees", _cmd_degrees,
+                   help="irreducible degrees of a small group")
     p.add_argument("--group", required=True,
                    help="builtin (C12, D10, S5, A6, F17_4) or JSON file")
     p.add_argument("--p", type=int, default=None)
 
-    p = add_parser("frobenius", help="the extremal group C_p x| C_m")
+    p = add_parser("frobenius", _cmd_frobenius,
+                   help="the extremal group C_p x| C_m")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, default=None,
                    help="complement order, default sqrt(p-1)")
 
-    p = add_parser("solvable", help="the solvable witness V x| A")
+    p = add_parser("solvable", _cmd_solvable,
+                   help="the solvable witness V x| A")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--r", type=str, default="auto",
+    p.add_argument("--r", type=int_or_auto, default="auto",
                    help="construction prime, or 'auto' for the smallest")
     p.add_argument("--cross-check", action="store_true",
                    help="also run the degree engine on V x| A")
 
-    p = add_parser("landau", help="primes p with p - 1 a perfect square")
+    p = add_parser("landau", _cmd_landau,
+                   help="primes p with p - 1 a perfect square")
     p.add_argument("--limit", type=int, required=True)
 
-    p = add_parser("bounds", help="inequality tables and grid checks")
+    p = add_parser("bounds", _cmd_bounds,
+                   help="inequality tables and grid checks")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--table1", action="store_true")
     mode.add_argument("--table2", action="store_true")
@@ -78,14 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--failures-only", action="store_true",
                    help="emit only failing rows")
 
-    p = add_parser("torus-search",
-                       help="self-centralizing torus classification sweep")
+    p = add_parser("torus-search", _cmd_torus,
+                   help="self-centralizing torus classification sweep")
     p.add_argument("--qmax", type=int, default=256)
     p.add_argument("--nmax", type=int, default=12)
     p.add_argument("--reconcile", action="store_true",
                    help="compare the hit set with the classification lists")
 
-    p = add_parser("verify-all", help="aggregate verification suite")
+    p = add_parser("verify-all", _cmd_verify_all,
+                   help="aggregate verification suite")
     profile = p.add_mutually_exclusive_group()
     profile.add_argument("--quick", action="store_true")
     profile.add_argument("--full", action="store_true")
@@ -97,7 +116,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = _dispatch(args)
+        report = args.handler(args)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
@@ -121,21 +140,6 @@ def main(argv=None) -> int:
     return 0 if report.status in ("pass", "partial") else 1
 
 
-def _dispatch(args) -> Report:
-    handler = {
-        "partitions": _cmd_partitions,
-        "verify-symmetric": _cmd_verify_symmetric,
-        "degrees": _cmd_degrees,
-        "frobenius": _cmd_frobenius,
-        "solvable": _cmd_solvable,
-        "landau": _cmd_landau,
-        "bounds": _cmd_bounds,
-        "torus-search": _cmd_torus,
-        "verify-all": _cmd_verify_all,
-    }[args.command]
-    return handler(args)
-
-
 def _cmd_partitions(args) -> Report:
     from . import partitions
 
@@ -153,10 +157,7 @@ def _cmd_partitions(args) -> Report:
 
 
 def _cmd_verify_symmetric(args) -> Report:
-    primes = None
-    if args.primes:
-        primes = [int(x) for x in args.primes.split(",")]
-    return symmetric.verify_symmetric_bounds(args.max_n, primes)
+    return symmetric.verify_symmetric_bounds(args.max_n, args.primes)
 
 
 def _group_from_descriptor(descriptor: str) -> engine.FiniteGroup:
@@ -210,6 +211,8 @@ def _cmd_degrees(args) -> Report:
 def _cmd_frobenius(args) -> Report:
     with timer() as t:
         p = args.p
+        if not landau.is_prime(p):  # before isqrt, which refuses p < 1
+            raise ValueError(f"{p} is not prime")
         m = args.m if args.m is not None else math.isqrt(p - 1)
         group, params = constructions.build_frobenius(p, m)
         closed = constructions.frobenius_degree_multiset(params)
@@ -235,7 +238,7 @@ def _cmd_solvable(args) -> Report:
     with timer() as t:
         p = args.p
         r = (constructions.find_construction_prime(p)
-             if args.r == "auto" else int(args.r))
+             if args.r == "auto" else args.r)
         built = constructions.build_gamma_l(p, r)
         clifford = constructions.clifford_pprime_count(
             built.action, p, engine_seed=args.seed
@@ -297,41 +300,43 @@ def _cmd_torus(args) -> Report:
     return torus_search.search_report(args.qmax, args.nmax)
 
 
+def checks(full: bool, seed: int = 0) -> list[tuple[str, Callable[[], Report]]]:
+    """The `verify-all` check list, in row order: each name with a call
+    that returns that check's report.  The calls are lazy, and
+    tests/test_acceptance.py asserts on the reports of the same calls."""
+    def subcommand(handler, **options):
+        return partial(handler, argparse.Namespace(seed=seed, **options))
+
+    out = [("verify-symmetric",
+            partial(symmetric.verify_symmetric_bounds, 25 if full else 15))]
+    out += [(f"frobenius p={p}", subcommand(_cmd_frobenius, p=p, m=None))
+            for p in ((5, 17, 37, 101, 197, 257) if full else (5, 17))]
+    out += [("solvable p=5",
+             subcommand(_cmd_solvable, p=5, r=19, cross_check=full)),
+            ("table2", lie_bounds.verify_table2)]
+    if not full:
+        return out + [("torus-search",
+                       partial(torus_search.search_report, 64, 12))]
+    out += [("table1", lie_bounds.table1_report),
+            ("defining", lie_bounds.defining_char_check)]
+    out += [(f"classical {family}",
+             partial(lie_bounds.classical_inequality_check, family))
+            for family in lie_bounds.FAMILIES]
+    return out + [("e8-d1", lie_bounds.e8_d1_check),
+                  ("torus-reconcile", torus_search.reconcile_with_theorem),
+                  ("alternating", torus_search.alternating_check)]
+
+
 def _cmd_verify_all(args) -> Report:
-    full = args.full
     rows = []
     with timer() as t:
-        def record(name, report):
-            rows.append(
-                {
-                    "check": name,
-                    "status": report.status,
-                    "rows": len(report.rows),
-                    "failures": len(report.failures),
-                    "ok": report.status != "fail",
-                }
-            )
-
-        record("verify-symmetric",
-               symmetric.verify_symmetric_bounds(25 if full else 15))
-        for p in (5, 17, 37, 101, 197, 257) if full else (5, 17):
-            record(f"frobenius p={p}", _cmd_frobenius(
-                argparse.Namespace(p=p, m=None, seed=args.seed)))
-        record("solvable p=5", _cmd_solvable(
-            argparse.Namespace(p=5, r="19", cross_check=full, seed=args.seed)))
-        record("table2", lie_bounds.verify_table2())
-        if full:
-            record("table1", lie_bounds.table1_report())
-            record("defining", lie_bounds.defining_char_check())
-            for family in lie_bounds.FAMILIES:
-                record(f"classical {family}",
-                       lie_bounds.classical_inequality_check(family))
-            record("e8-d1", lie_bounds.e8_d1_check())
-            record("torus-reconcile", torus_search.reconcile_with_theorem())
-            record("alternating", torus_search.alternating_check())
-        else:
-            record("torus-search", torus_search.search_report(64, 12))
-    return Report("verify-all", {"profile": "full" if full else "quick"},
+        for name, run in checks(args.full, args.seed):
+            report = run()
+            rows.append({"check": name, "status": report.status,
+                         "rows": len(report.rows),
+                         "failures": len(report.failures),
+                         "ok": report.status != "fail"})
+    return Report("verify-all", {"profile": "full" if args.full else "quick"},
                   rows, elapsed_seconds=t.elapsed)
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from . import modlinalg as ml
 from .engine import (
+    DEFAULT_ORDER_LIMIT,
     DegreeMultiset,
     FiniteGroup,
     group_from_elements,
@@ -223,21 +224,9 @@ def _is_irreducible(poly: list[int], r: int, m: int) -> bool:
     return True
 
 
-def _field_mul(a: tuple, b: tuple, modulus: list[int], r: int) -> tuple:
-    prod = ml.poly_mod(ml.poly_mul(list(a), list(b), r), modulus, r)
-    return tuple(prod + [0] * (len(modulus) - 1 - len(prod)))
-
-
-def _field_pow(a: tuple, e: int, modulus: list[int], r: int) -> tuple:
-    m = len(modulus) - 1
-    result = tuple([1] + [0] * (m - 1))
-    base = a
-    while e:
-        if e & 1:
-            result = _field_mul(result, base, modulus, r)
-        base = _field_mul(base, base, modulus, r)
-        e >>= 1
-    return result
+def _padded(poly: list[int], m: int) -> tuple:
+    """A reduced field element as its m coordinates."""
+    return tuple(poly + [0] * (m - len(poly)))
 
 
 def build_gamma_l(p: int, r: int) -> GammaLConstruction:
@@ -266,24 +255,25 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
         raise ConsistencyError("p does not divide r^m - 1")
     modulus = _find_irreducible(r, m)
 
-    one = tuple([1] + [0] * (m - 1))
     zeta = None
     # codes 0 .. r-1 are the scalars F_r; since ord_p(r) = m >= 2, r - 1
     # divides (q-1)/p, so their powers are 0 or 1 and the search skips them
     for digits in _all_vectors(r, m, start=r):
-        candidate = _field_pow(digits, (q - 1) // p, modulus, r)
-        if candidate != one:  # a nonzero vector has a nonzero power
+        candidate = ml.poly_powmod(list(digits), (q - 1) // p, modulus, r)
+        if candidate != [1]:  # a nonzero vector has a nonzero power
             zeta = candidate
             break
-    if zeta is None or _field_pow(zeta, p, modulus, r) != one:
+    if zeta is None or ml.poly_powmod(zeta, p, modulus, r) != [1]:
         raise ConsistencyError("failed to locate an element of order p")
 
-    basis = [tuple(1 if i == j else 0 for i in range(m)) for j in range(m)]
-    mult_matrix = _columns_to_matrix(
-        [_field_mul(zeta, b, modulus, r) for b in basis]
-    )
-    frob_matrix = _columns_to_matrix(
-        [_field_pow(b, r, modulus, r) for b in basis]
+    # column j of each matrix is the image of the basis vector x^j
+    basis = [[0] * j + [1] for j in range(m)]
+    mult_matrix = ml.mat_transpose([
+        _padded(ml.poly_mod(ml.poly_mul(zeta, b, r), modulus, r), m)
+        for b in basis
+    ])
+    frob_matrix = ml.mat_transpose(
+        [_padded(ml.poly_powmod(b, r, modulus, r), m) for b in basis]
     )
 
     def mul(x, y):
@@ -303,11 +293,6 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
         mult_matrix=mult_matrix, frobenius_matrix=frob_matrix,
         action=LinearGroupAction(r, m, group, tuple(group.elements)),
     )
-
-
-def _columns_to_matrix(cols) -> ml.Matrix:
-    m = len(cols)
-    return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
 
 
 def _verify_gamma_l_invariants(p, r, mult_matrix, frob_matrix, group) -> None:
@@ -601,17 +586,14 @@ def semidirect_product_permutations(action: LinearGroupAction) -> FiniteGroup:
     return product
 
 
-def engine_cross_check(
-    target, p: int, seed: int = 0, order_limit: int = 5000
-) -> Report:
+def engine_cross_check(target, p: int, seed: int = 0) -> Report:
     """Degrees of V x| A two ways: Clifford count vs. the degree engine on
     the explicit permutation group.  Disagreement is a hard failure."""
     action = target.action if isinstance(target, GammaLConstruction) else target
     expected_order = action.ell**action.dim * action.group.order
-    if expected_order > order_limit:
-        raise SizeLimitError(
-            f"|V x| A| = {expected_order} exceeds engine bound {order_limit}"
-        )
+    if expected_order > DEFAULT_ORDER_LIMIT:
+        raise SizeLimitError(f"|V x| A| = {expected_order} exceeds engine "
+                             f"bound {DEFAULT_ORDER_LIMIT}")
     with timer() as t:
         clifford = clifford_pprime_count(action, p, engine_seed=seed)
         product = semidirect_product_permutations(action)

@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every tolerance here is exact (integer equality); runtime budgets are the
-only non-exact assertions.  Run with `pytest -v tests/test_acceptance.py`
-or see the per-criterion lines with `-s`.
+only non-exact assertions.  Criteria 1-4, 6 and 7 assert on the reports of
+the `verify-all --full` checks named in `ppchars.cli.checks`, so the suite
+and the command run the same checks with the same parameters.  Run with
+`pytest -v tests/test_acceptance.py` or see the per-criterion lines with
+`-s`.
 
 Known defect of the printed bound, pinned exactly: the classical-family grid
 check finds one genuine counterexample to the published sufficient inequality
@@ -14,12 +17,14 @@ still reports the inequality as printed: `ppchars verify-all --full` and
 `ppchars bounds --classical --family bc` exit 1 on purpose.
 """
 
+import functools
 import math
 import time
 
 import pytest
 
-from ppchars import constructions, engine, landau, lie_bounds, symmetric, torus_search
+from ppchars import constructions, engine, landau, lie_bounds
+from ppchars.cli import checks
 
 
 def _criterion(number, name, ok, detail=""):
@@ -27,24 +32,32 @@ def _criterion(number, name, ok, detail=""):
     assert ok, f"criterion {number} ({name}): {detail}"
 
 
+@functools.lru_cache(maxsize=None)
+def _report(name):
+    """The report of the `verify-all --full` check of this name, computed
+    once per session through the same call as `ppchars verify-all`."""
+    return dict(checks(full=True))[name]()
+
+
 def test_criterion_1_macdonald_equals_oracle():
-    start = time.monotonic()
-    mismatches = []
-    for n in range(1, 26):
-        for p in landau.primes_up_to(n):
-            formula = symmetric.macdonald_count(n, p)
-            oracle = symmetric.irr_pprime_count_sym_oracle(n, p)
-            if formula != oracle or formula < n - 1:
-                mismatches.append((n, p, formula, oracle))
-    assert symmetric.verify_symmetric_bounds(25).status == "pass"
+    report = _report("verify-symmetric")
+    formula = {(r["n"], r["p"]): r["formula"] for r in report.rows}
+    mismatches = [
+        (r["n"], r["p"], r["formula"], r["oracle"]) for r in report.rows
+        if r["formula"] != r["oracle"] or r["formula"] < r["n"] - 1
+    ]
+    # every n <= 25 against every prime p <= n
+    assert sorted(formula) == [
+        (n, p) for n in range(1, 26) for p in landau.primes_up_to(n)]
+    assert report.status == "pass"
     # the small-n closed cases: count p at n in {p, p+1}, 2p at n = p+2
     for p in (5, 7, 11, 13, 17):
-        assert symmetric.macdonald_count(p, p) == p
+        assert formula[p, p] == p
     for p in (7, 11, 13):
-        assert symmetric.macdonald_count(p + 1, p) == p
+        assert formula[p + 1, p] == p
     for p in (5, 7, 11, 13):
-        assert symmetric.macdonald_count(p + 2, p) == 2 * p
-    elapsed = time.monotonic() - start
+        assert formula[p + 2, p] == 2 * p
+    elapsed = report.elapsed_seconds
     _criterion(
         1, "digit-product formula = hook oracle (n <= 25)",
         not mismatches and elapsed <= 60,
@@ -53,21 +66,20 @@ def test_criterion_1_macdonald_equals_oracle():
 
 
 def test_criterion_2_extremal_frobenius():
-    start = time.monotonic()
     failures = []
+    elapsed = 0.0
     for p in (5, 17, 37, 101, 197, 257):
         m = math.isqrt(p - 1)
-        group, params = constructions.build_frobenius(p, m)
-        closed = constructions.frobenius_degree_multiset(params)
-        expected = tuple(sorted([1] * m + [m] * ((p - 1) // m)))
-        if closed.degrees != expected or closed.pprime_count(p) != 2 * m:
+        report = _report(f"frobenius p={p}")
+        elapsed += report.elapsed_seconds
+        row = report.rows[0]
+        expected = sorted([1] * m + [m] * ((p - 1) // m))
+        if row["degrees"] != expected or row["pprime_count"] != 2 * m:
             failures.append((p, "closed form"))
         if constructions.extremal_count(p) != 2 * m:
             failures.append((p, "extremal count"))
-        if p in (5, 17, 37, 257):
-            if engine.irreducible_degrees(group).degrees != expected:
-                failures.append((p, "engine"))
-    elapsed = time.monotonic() - start
+        if row["engine_agrees"] is not True:
+            failures.append((p, "engine"))
     _criterion(
         2, "extremal Frobenius groups attain 2*sqrt(p-1)",
         not failures and elapsed <= 120,
@@ -76,27 +88,28 @@ def test_criterion_2_extremal_frobenius():
 
 
 def test_criterion_3_solvable_witness():
-    start = time.monotonic()
-    built = constructions.build_gamma_l(5, 19)
-    clifford = constructions.clifford_pprime_count(built.action, 5)
-    report = constructions.engine_cross_check(built, 5)
-    elapsed = time.monotonic() - start
+    report = _report("solvable p=5")
+    clifford, cross = report.rows
+    elapsed = report.elapsed_seconds
     ok = (
-        clifford.pprime_count == 4
-        and clifford.degrees.sum_of_squares() == 3610
+        report.parameters == {"p": 5, "r": 19, "cross_check": True}
+        and clifford["pprime_count"] == 4
+        and clifford["sum_of_squares"] == 3610
+        and cross["check"] == "degree multisets equal"
+        and cross["sum_of_squares"] == 3610
         and report.status == "pass"
         and elapsed <= 120
     )
     _criterion(
         3, "order-3610 solvable witness, Clifford = engine",
         ok,
-        f"count={clifford.pprime_count} sum_sq={clifford.degrees.sum_of_squares()} "
-        f"cross={report.status} elapsed={elapsed:.1f}s",
+        f"count={clifford['pprime_count']} sum_sq={clifford['sum_of_squares']} "
+        f"status={report.status} elapsed={elapsed:.1f}s",
     )
 
 
 def test_criterion_4_table2_regression():
-    report = lie_bounds.verify_table2()
+    report = _report("table2")
     printed = [row["stated"] for row in report.rows]
     expected = [10, 82, 10, 13, 17, 13, 1297, 31, 21, 257,
                 65, 40, 577, 2402, 871, 257, 38417, 10001]
@@ -120,30 +133,34 @@ def test_criterion_5_landau_list():
 
 
 def test_criterion_6_torus_search_set_equality():
-    start = time.monotonic()
-    report = torus_search.reconcile_with_theorem(256, 12)
-    elapsed = time.monotonic() - start
+    report = _report("torus-reconcile")
+    elapsed = report.elapsed_seconds
     diffs = [
         (row["p"], row["missing"], row["extra"])
         for row in report.rows
         if not row["ok"]
     ]
-    ok = report.status == "pass" and set(
-        row["p"] for row in report.rows
-    ) == {5, 17, 37, 257} and elapsed <= 300
+    ok = (
+        report.parameters == {"q_max": 256, "n_max": 12}
+        and report.status == "pass"
+        and set(row["p"] for row in report.rows) == {5, 17, 37, 257}
+        and elapsed <= 300
+    )
     _criterion(6, "torus classification set equality", ok,
                f"diffs={diffs} elapsed={elapsed:.1f}s")
 
 
 def test_criterion_7_defining_characteristic_grid():
-    report = lie_bounds.defining_char_check(l_max=8, r_max=97, f_max=6)
+    report = _report("defining")
+    assert report.parameters == {"l_max": 8, "r_max": 97, "f_max": 6}
     _criterion(7, "defining-characteristic grid",
                report.counters["violations"] == 0,
                f"violations={report.counters['violations']}")
 
 
 def test_criterion_7_e8_d1_grid():
-    report = lie_bounds.e8_d1_check(1001, 4096)
+    report = _report("e8-d1")
+    assert report.parameters == {"q_min": 1001, "q_max": 4096}
     _criterion(7, "E8 d=1 tail grid",
                report.counters["violations"] == 0,
                f"violations={report.counters['violations']}")
@@ -151,7 +168,7 @@ def test_criterion_7_e8_d1_grid():
 
 @pytest.mark.parametrize("family", ["d", "2d", "a", "2a"])
 def test_criterion_7_classical_grids(family):
-    report = lie_bounds.classical_inequality_check(family)
+    report = _report(f"classical {family}")
     _criterion(7, f"classical family {family} grid",
                report.counters["violations"] == 0,
                f"violations={report.counters['violations']}")
@@ -187,7 +204,7 @@ def test_criterion_7_classical_bc_grid():
     rhs_squared_num = (2 * f * math.gcd(2, q - 1) * denom) ** 2 * (p - 1)
     assert lhs_num**2 <= rhs_squared_num  # 7921 <= 13824: a real violation
 
-    report = lie_bounds.classical_inequality_check("bc")
+    report = _report("classical bc")
     violations = [
         (r["q"], r["f"], r["d"], r["a"], r["p"]) for r in report.failures
     ]

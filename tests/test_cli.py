@@ -84,6 +84,8 @@ def test_non_prime_p_is_refused():
         (["verify-symmetric", "--max-n", "10", "--primes", "4"], 4),
         (["verify-symmetric", "--max-n", "10", "--primes", "5,9"], 9),
         (["frobenius", "--p", "4"], 4),
+        (["frobenius", "--p", "0"], 0),
+        (["frobenius", "--p", "-5"], -5),
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -145,9 +147,16 @@ def test_seed_is_echoed():
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["landau", "--bogus"])
-    assert exc.value.code == 2
+    # an unknown option, and a malformed option value as argparse parses it
+    for argv in (["landau", "--bogus"],
+                 ["verify-symmetric", "--primes", "5,x"],
+                 ["verify-symmetric", "--max-n", "x"],
+                 ["solvable", "--p", "5", "--r", "x"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"ppchars {argv[0]}: error: " in err.getvalue(), argv
 
 
 def test_bad_group_file_exit_codes(tmp_path):

@@ -95,7 +95,7 @@ def test_zeta_is_the_first_nonscalar_hit(p, r):
     m, modulus = built.m, list(built.modulus)
     exponent = (r**m - 1) // p
     one = (1,) + (0,) * (m - 1)
-    powers = (constructions._field_pow(v, exponent, modulus, r)
+    powers = (constructions._padded(ml.poly_powmod(list(v), exponent, modulus, r), m)
               for v in constructions._all_vectors(r, m))
     for code, power in enumerate(powers):
         if code < r:
