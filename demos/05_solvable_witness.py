@@ -37,11 +37,12 @@ print()
 
 result = clifford_pprime_count(built.action, p)
 print(f"|V x| A| = {361 * 10}")
-print("degree multiset by Clifford theory:",
-      dict(sorted(Counter(result.degrees.degrees).items())))
+print("degree multiset by Clifford theory:", dict(result.degrees.counts))
 print(f"sum of squared degrees: {result.degrees.sum_of_squares()}")
 print(f"degrees coprime to {p}: {result.pprime_count}  (= 2*sqrt(p-1) = 4)")
-sizes = Counter(row["orbit_size"] for row in result.orbit_rows)
+sizes = Counter()
+for row in result.orbit_rows:  # one row per inertia type
+    sizes[row["orbit_size"]] += row["orbits"]
 print(f"dual orbit sizes: {dict(sorted(sizes.items()))}")
 print()
 

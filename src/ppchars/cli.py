@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from collections.abc import Callable
 from functools import partial
 
@@ -195,7 +194,7 @@ def _cmd_degrees(args) -> Report:
         row = {
             "group": args.group,
             "order": group.order,
-            "classes": len(degrees.degrees),
+            "classes": len(degrees),
             "degrees": list(degrees.degrees),
             "linear": degrees.linear_count(),
             "sum_of_squares": degrees.sum_of_squares(),
@@ -217,7 +216,7 @@ def _cmd_frobenius(args) -> Report:
         group, params = constructions.build_frobenius(p, m)
         closed = constructions.frobenius_degree_multiset(params)
         engine_degrees = engine.irreducible_degrees(group, seed=args.seed)
-        agrees = closed.degrees == engine_degrees.degrees
+        agrees = closed.counts == engine_degrees.counts
         pprime_count = closed.pprime_count(p)
         # at m = sqrt(p-1) the count must attain the bound 2*sqrt(p-1)
         attained = m * m != p - 1 or pprime_count == 2 * m
@@ -225,7 +224,7 @@ def _cmd_frobenius(args) -> Report:
             "p": p,
             "m": m,
             "order": group.order,
-            "classes": len(engine_degrees.degrees),
+            "classes": len(engine_degrees),
             "degrees": list(closed.degrees),
             "pprime_count": pprime_count,
             "engine_agrees": agrees,
@@ -250,7 +249,7 @@ def _cmd_solvable(args) -> Report:
             "r": r,
             "m": m,
             "order": (r**m) * p * m,
-            "degrees": dict(Counter(clifford.degrees.degrees)),
+            "degrees": dict(clifford.degrees.counts),
             "pprime_count": clifford.pprime_count,
             "expected": expected,
             "sum_of_squares": clifford.degrees.sum_of_squares(),
@@ -276,6 +275,8 @@ def _cmd_landau(args) -> Report:
 
 
 def _cmd_bounds(args) -> Report:
+    # an explicit --qmax, even 0, reaches the check; else its own default
+    q_max = {} if args.qmax is None else {"q_max": args.qmax}
     if args.table1:
         return lie_bounds.table1_report()
     if args.table2:
@@ -286,12 +287,9 @@ def _cmd_bounds(args) -> Report:
         if not args.family:
             raise UsageError("--classical needs --family")
         return lie_bounds.classical_inequality_check(
-            args.family,
-            q_max=args.qmax or lie_bounds.DEFAULT_Q_MAX,
-            rank_max=args.rank_max,
-            f_max=args.fmax,
+            args.family, rank_max=args.rank_max, f_max=args.fmax, **q_max
         )
-    return lie_bounds.e8_d1_check(q_max=args.qmax or 4096)
+    return lie_bounds.e8_d1_check(**q_max)
 
 
 def _cmd_torus(args) -> Report:

@@ -25,6 +25,7 @@ orbit/stabilizer data is touched (no complex numbers, no character values).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import modlinalg as ml
@@ -32,6 +33,7 @@ from .engine import (
     DEFAULT_ORDER_LIMIT,
     DegreeMultiset,
     FiniteGroup,
+    _generator_conjugations,
     group_from_elements,
     group_from_permutations,
     group_from_table,
@@ -45,9 +47,6 @@ from .landau import (
     prime_divisors,
 )
 from .report import Report, timer
-
-# most characters of V x| A whose degrees are listed one by one
-CHARACTER_LIMIT = 250_000
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,9 @@ def build_frobenius(p: int, m: int) -> tuple[FiniteGroup, FrobeniusParams]:
 def frobenius_degree_multiset(params: FrobeniusParams) -> DegreeMultiset:
     """Clifford closed form for cyclic kernel and fixed-point-free cyclic
     complement: m linear characters and (p-1)/m characters of degree m."""
-    degrees = [1] * params.m + [params.m] * ((params.p - 1) // params.m)
-    return DegreeMultiset(tuple(sorted(degrees)))
+    return DegreeMultiset.from_counter(
+        Counter({1: params.m}) + Counter({params.m: (params.p - 1) // params.m})
+    )
 
 
 def extremal_count(p: int) -> int:
@@ -372,13 +372,15 @@ def clifford_pprime_count(
     f(W) = ell^dim W - sum of f(W') over lattice members W' < W.  A
     permutes the lattice and conjugates the stabilizers, so there are
     (sum of f over the conjugates of H) / [A:H] orbits with inertia
-    subgroup conjugate to H, and the degrees of H are computed once per
-    conjugacy class.  Checked exactly: the f sum to |V|, each orbit count
-    is an integer, and the squared degrees sum to |V| * |A|.
+    subgroup conjugate to H.  Such an inertia type adds its degrees times
+    its number of orbits to the histogram at once, so the work does not
+    grow with the number of orbits or characters.  Checked exactly: the f
+    are non-negative and sum to |V|, each orbit count is an integer, and
+    the squared degrees sum to |V| * |A|.
 
     Returns the count of degrees coprime to p, the full multiset, and one
-    row per orbit.  Raises SizeLimitError before listing the degrees when
-    there are more than CHARACTER_LIMIT of them.
+    row per inertia type: its orbit size [A:I], |I|, the number of orbits
+    and the degrees [A:I] * d that each of them contributes.
     """
     action.validate()
     ell, dim, group = action.ell, action.dim, action.group
@@ -389,7 +391,8 @@ def clifford_pprime_count(
         ml.mat_transpose(action.matrices[group.inverse[g]]) for g in range(n)
     ]
     reps, class_size, rep_stabilizer = _fixed_space_lattice(group, dual_mats, ell)
-    conjugates = [_conjugates(group, h) for h in rep_stabilizer]
+    conjugations = _generator_conjugations(group)
+    conjugates = [_conjugates(conjugations, h) for h in rep_stabilizer]
     if [len(c) for c in conjugates] != class_size:
         raise ConsistencyError("space orbits and stabilizer classes differ")
 
@@ -407,40 +410,27 @@ def clifford_pprime_count(
     if sum(class_size[t] * exact[t] for t in order) != size_v:
         raise ConsistencyError("functional counts do not sum to |V|")
 
-    types = []  # (inertia indices, orbit size, number of orbits)
-    for t in order:
-        index = n // len(rep_stabilizer[t])
-        if class_size[t] * exact[t] % index:
-            raise ConsistencyError("orbit-stabilizer identity fails")
-        if exact[t]:
-            types.append((sorted(rep_stabilizer[t]), index,
-                          class_size[t] * exact[t] // index))
-    # most orbits first, so an oversized count stops after a few small groups
-    types.sort(key=lambda item: len(item[0]))
-
-    inertia_degrees = []
-    characters = 0
-    for indices, index, orbits in types:
-        inertia = _subgroup_from_indices(group, indices)
-        inertia_degrees.append(irreducible_degrees(inertia, seed=engine_seed))
-        characters += orbits * len(inertia_degrees[-1].degrees)
-        if characters > CHARACTER_LIMIT:
-            raise SizeLimitError(
-                f"V x| A has more than {CHARACTER_LIMIT} irreducible "
-                "characters to list"
-            )
-
-    degrees: list[int] = []
+    histogram = Counter()
     orbit_rows = []
-    for (indices, index, orbits), inertia in zip(types, inertia_degrees):
-        added = [index * d for d in inertia.degrees]
-        degrees.extend(added * orbits)
-        orbit_rows.extend(
-            {"orbit_size": index, "inertia_order": len(indices), "degrees": list(added)}
-            for _ in range(orbits)
+    for t in order:
+        inertia = rep_stabilizer[t]
+        index = n // len(inertia)
+        orbits, rest = divmod(class_size[t] * exact[t], index)
+        if rest:
+            raise ConsistencyError("orbit-stabilizer identity fails")
+        if not orbits:
+            continue
+        inertia_degrees = irreducible_degrees(
+            _subgroup_from_indices(group, sorted(inertia)), seed=engine_seed
         )
-    degrees.sort()
-    multiset = DegreeMultiset(tuple(degrees))
+        added = DegreeMultiset(
+            tuple((index * d, k) for d, k in inertia_degrees.counts)
+        )
+        for d, k in added.counts:
+            histogram[d] += orbits * k
+        orbit_rows.append({"orbit_size": index, "inertia_order": len(inertia),
+                           "orbits": orbits, "degrees": added})
+    multiset = DegreeMultiset.from_counter(histogram)
     if multiset.sum_of_squares() != size_v * n:
         raise ConsistencyError(
             "Clifford degrees fail sum-of-squares = |V| * |A|"
@@ -523,14 +513,15 @@ def _intersect(basis: tuple, equations: list, ell: int) -> tuple:
     )
 
 
-def _conjugates(group: FiniteGroup, subgroup: frozenset) -> list[frozenset]:
-    """The A-conjugacy class of a subgroup given by element indices."""
-    mul, inverse = group.mul, group.inverse
+def _conjugates(conjugations: list[list[int]],
+                subgroup: frozenset) -> list[frozenset]:
+    """The A-conjugacy class of a subgroup given by element indices,
+    closed under the generator conjugations x -> g^-1 x g."""
     found = [subgroup]
     seen = {subgroup}
     for h in found:
-        for g in group.generators:
-            image = frozenset(mul(mul(g, x), inverse[g]) for x in h)
+        for conj in conjugations:
+            image = frozenset(conj[x] for x in h)
             if image not in seen:
                 seen.add(image)
                 found.append(image)
@@ -598,16 +589,16 @@ def engine_cross_check(target, p: int, seed: int = 0) -> Report:
         clifford = clifford_pprime_count(action, p, engine_seed=seed)
         product = semidirect_product_permutations(action)
         engine_degrees = irreducible_degrees(product, seed=seed)
-        if engine_degrees.degrees != clifford.degrees.degrees:
+        if engine_degrees.counts != clifford.degrees.counts:
             raise ConsistencyError(
                 "engine and Clifford degree multisets disagree: "
-                f"{engine_degrees.degrees} vs {clifford.degrees.degrees}"
+                f"{engine_degrees.counts} vs {clifford.degrees.counts}"
             )
         rows = [
             {
                 "check": "degree multisets equal",
                 "order": product.order,
-                "classes": len(engine_degrees.degrees),
+                "classes": len(engine_degrees),
                 "pprime_count": clifford.pprime_count,
                 "sum_of_squares": engine_degrees.sum_of_squares(),
                 "ok": True,
@@ -617,7 +608,7 @@ def engine_cross_check(target, p: int, seed: int = 0) -> Report:
         command="engine-cross-check",
         parameters={"p": p, "order": product.order},
         rows=rows,
-        counters={"degrees": len(engine_degrees.degrees)},
+        counters={"degrees": len(engine_degrees)},
         seed=seed,
         elapsed_seconds=t.elapsed,
     )

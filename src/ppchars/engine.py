@@ -35,8 +35,9 @@ Character degrees are computed by the classical modular method (Dixon):
    true integer since chi(1)^2 <= |G| < L; |G| times the cluster's own
    value at the identity class, beta_chi = chi(1)^2 / |G|, must agree.
 
-Degrees are returned as a sorted multiset; with a fixed seed the run is
-deterministic, and across seeds the multiset is identical by construction.
+Degrees are returned as sorted (degree, multiplicity) pairs; with a fixed
+seed the run is deterministic, and across seeds the multiset is identical
+by construction.
 """
 
 from __future__ import annotations
@@ -206,20 +207,33 @@ class ConjugacyClasses:
 
 @dataclass(frozen=True)
 class DegreeMultiset:
-    """Weakly increasing irreducible character degrees of one group."""
+    """Irreducible character degrees of one group as (degree, multiplicity)
+    pairs, in increasing degree."""
 
-    degrees: tuple[int, ...]
+    counts: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def from_counter(cls, counter: Counter) -> DegreeMultiset:
+        return cls(tuple(sorted(counter.items())))
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """One entry per character, weakly increasing."""
+        return tuple(d for d, k in self.counts for _ in range(k))
+
+    def __len__(self) -> int:
+        return sum(k for _, k in self.counts)
 
     def sum_of_squares(self) -> int:
-        return sum(d * d for d in self.degrees)
+        return sum(d * d * k for d, k in self.counts)
 
     def linear_count(self) -> int:
-        return sum(1 for d in self.degrees if d == 1)
+        return sum(k for d, k in self.counts if d == 1)
 
     def pprime_count(self, p: int) -> int:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        return sum(1 for d in self.degrees if d % p != 0)
+        return sum(k for d, k in self.counts if d % p != 0)
 
 
 def pprime_degree_count(group_or_degrees, p: int) -> int:
@@ -737,7 +751,7 @@ def irreducible_degrees(
             f"group order {group.order} exceeds engine bound {order_limit}"
         )
     if group.order == 1:
-        return DegreeMultiset((1,))
+        return DegreeMultiset(((1, 1),))
     cc = conjugacy_classes(group, order_limit=order_limit)
     c = len(cc.reps)
     if c > class_limit:
@@ -753,7 +767,7 @@ def irreducible_degrees(
     )
 
     size_inv = [pow(sz, -1, L) for sz in cc.sizes]
-    degrees = []
+    degrees = Counter()
     for w in clusters:
         w0 = w[identity_class] % L
         if w0 == 0:
@@ -777,9 +791,8 @@ def irreducible_degrees(
         d = math.isqrt(d_squared)
         if d * d != d_squared:
             raise ConsistencyError(f"degree^2 = {d_squared} is not a square")
-        degrees.append(d)
-    degrees.sort()
-    result = DegreeMultiset(tuple(degrees))
-    if len(degrees) != c or result.sum_of_squares() != group.order:
+        degrees[d] += 1
+    result = DegreeMultiset.from_counter(degrees)
+    if len(result) != c or result.sum_of_squares() != group.order:
         raise ConsistencyError("degree multiset fails the sum-of-squares check")
     return result

@@ -42,12 +42,16 @@ def test_partitions_subcommand():
 
 
 def test_frobenius_subcommand():
-    code, out = run_cli(["frobenius", "--p", "5"])
-    assert code == 0
-    row = json.loads(out)["rows"][0]
-    assert row["degrees"] == [1, 1, 2, 2]
-    assert row["pprime_count"] == 4
-    assert row["engine_agrees"] is True
+    # at m = 1 the m linear characters and the (p-1)/m of degree m coincide
+    for argv, degrees, count in ((["--p", "5"], [1, 1, 2, 2], 4),
+                                 (["--p", "2"], [1, 1], 2),
+                                 (["--p", "5", "--m", "1"], [1] * 5, 5)):
+        code, out = run_cli(["frobenius"] + argv)
+        assert code == 0, argv
+        row = json.loads(out)["rows"][0]
+        assert row["degrees"] == degrees and row["classes"] == len(degrees)
+        assert row["pprime_count"] == count
+        assert row["engine_agrees"] is True
 
 
 def test_degrees_builtin_and_file(tmp_path):
@@ -100,6 +104,16 @@ def test_bounds_modes():
         code, out = run_cli(["bounds"] + flags)
         assert code == 0, flags
         assert json.loads(out)["status"] == "pass"
+
+
+def test_bounds_qmax_zero_is_refused():
+    # an explicit 0 is a bad grid, not a request for the default one
+    for flags in (["--classical", "--family", "a"], ["--e8-d1"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(["bounds"] + flags + ["--qmax", "0"])
+        assert code == 1 and out == "", flags
+        assert err.getvalue() == "error: limit must be at least 2\n", flags
 
 
 def test_bounds_classical_failures_only():

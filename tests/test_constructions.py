@@ -132,10 +132,10 @@ def test_clifford_gamma_l_5_19():
     # nonzero dual orbits only contribute degrees divisible by p
     for row in result.orbit_rows:
         if row["orbit_size"] > 1:
-            assert all(d % 5 == 0 for d in row["degrees"])
+            assert all(d % 5 == 0 for d, _ in row["degrees"].counts)
     zero_orbit = [r for r in result.orbit_rows if r["orbit_size"] == 1]
-    assert zero_orbit == [{"orbit_size": 1, "inertia_order": 10,
-                           "degrees": [1, 1, 2, 2]}]
+    assert zero_orbit == [{"orbit_size": 1, "inertia_order": 10, "orbits": 1,
+                           "degrees": engine.DegreeMultiset(((1, 2), (2, 2)))}]
 
 
 def test_clifford_trivial_action():
@@ -210,10 +210,12 @@ def test_clifford_matches_dual_sweep(make_action, p):
     action = make_action()
     result = constructions.clifford_pprime_count(action, p)
     reference = _sweep_orbit_rows(action)
-    assert Counter(
-        (row["orbit_size"], row["inertia_order"], tuple(row["degrees"]))
-        for row in result.orbit_rows
-    ) == Counter(reference)
+    # one row per inertia type, expanded to one per orbit by its count
+    expanded = Counter()
+    for row in result.orbit_rows:
+        key = (row["orbit_size"], row["inertia_order"], row["degrees"].degrees)
+        expanded[key] += row["orbits"]
+    assert expanded == Counter(reference)
     assert result.degrees.degrees == tuple(
         sorted(d for _, _, degrees in reference for d in degrees))
 
@@ -226,15 +228,13 @@ def test_solvable_witness_p37():
     assert row["sum_of_squares"] == row["order"] == 11**6 * 37 * 6
 
 
-def test_clifford_size_limit_p101():
-    # 17^10 functionals in about 2 * 10^9 orbits: refused before listing
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["solvable", "--p", "101"])
-    assert code == 1
-    assert err.getvalue() == (
-        f"error: V x| A has more than {constructions.CHARACTER_LIMIT} "
-        "irreducible characters to list\n")
+def test_solvable_witness_p101():
+    # 17^10 functionals in about 2 * 10^9 orbits, counted by inertia type
+    code, report = _run_cli(["solvable", "--p", "101"])
+    row = report["rows"][0]
+    assert code == 0 and row["r"] == 17
+    assert row["pprime_count"] == row["expected"] == 20
+    assert row["sum_of_squares"] == row["order"] == 17**10 * 1010
 
 
 def test_action_validation_rejects_wrong_characteristic():
@@ -274,6 +274,8 @@ def test_clifford_multiset_counts_match_class_count():
     built = constructions.build_gamma_l(5, 19)
     result = constructions.clifford_pprime_count(built.action, 5)
     # 1 zero orbit (4 degrees) + 18 orbits of size 5 (2 each) + 27 of size 10
-    sizes = sorted(r["orbit_size"] for r in result.orbit_rows)
-    assert sizes.count(1) == 1 and sizes.count(5) == 18 and sizes.count(10) == 27
+    sizes = Counter()
+    for row in result.orbit_rows:
+        sizes[row["orbit_size"]] += row["orbits"]
+    assert sizes == {1: 1, 5: 18, 10: 27}
     assert len(result.degrees.degrees) == 67
