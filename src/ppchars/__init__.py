@@ -23,7 +23,6 @@ from .engine import (
     group_from_permutations,
     group_from_table,
     irreducible_degrees,
-    pprime_degree_count,
     symmetric_group,
 )
 from .landau import LandauPrime, is_prime, landau_primes, multiplicative_order, prime_powers
@@ -59,7 +58,6 @@ __all__ = [
     "multiplicative_order",
     "p_adic_expansion",
     "partition_count",
-    "pprime_degree_count",
     "prime_powers",
     "split_count",
     "split_count_naive",

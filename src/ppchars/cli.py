@@ -3,7 +3,8 @@
 Exit codes: 0 when the report status is pass (or partial), 1 when any row
 fails, 2 for usage errors, 3 for internal consistency failures.  Reports
 go to stdout as JSON (default) or CSV; byte-identical output for identical
-inputs and seed, except for the elapsed_seconds field.
+inputs and seed, except for the elapsed_seconds field, which `main` stamps
+on every report as the wall time of its subcommand's handler.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import json
 import math
 import os
 import sys
+import time
 from collections.abc import Callable
 from functools import partial
 
 from . import constructions, engine, landau, lie_bounds, symmetric, torus_search
-from .errors import ConsistencyError, UsageError
-from .report import Report, timer
+from .errors import ConsistencyError, SizeLimitError, UsageError
+from .report import Report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
         report = args.handler(args)
     except ConsistencyError as exc:
@@ -125,6 +128,7 @@ def main(argv=None) -> int:
     except (OSError, UsageError) as exc:  # e.g. an unreadable --group file
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report.elapsed_seconds = time.perf_counter() - start
     report.seed = args.seed
     if getattr(args, "failures_only", False):
         report.rows = [r for r in report.rows if r.get("ok") is False]
@@ -143,26 +147,45 @@ def _cmd_partitions(args) -> Report:
     from . import partitions
 
     rows = []
-    with timer() as t:
-        if args.pi is not None:
-            rows.append({"n": args.pi, "pi": partitions.partition_count(args.pi)})
-        if args.k is not None:
-            m, s = args.k
-            rows.append({"m": m, "s": s, "k": partitions.split_count(m, s)})
-        if not rows:
-            raise UsageError("need --pi N or --k M S")
-    return Report("partitions", {"pi": args.pi, "k": args.k}, rows,
-                  elapsed_seconds=t.elapsed)
+    if args.pi is not None:
+        rows.append({"n": args.pi, "pi": partitions.partition_count(args.pi)})
+    if args.k is not None:
+        m, s = args.k
+        rows.append({"m": m, "s": s, "k": partitions.split_count(m, s)})
+    if not rows:
+        raise UsageError("need --pi N or --k M S")
+    return Report("partitions", {"pi": args.pi, "k": args.k}, rows)
 
 
 def _cmd_verify_symmetric(args) -> Report:
     return symmetric.verify_symmetric_bounds(args.max_n, args.primes)
 
 
+def _refuse_past_order_bound(order: int, text: str = "") -> None:
+    """Refuse a group whose order, known from its description, is past
+    the engine bound, before any element of it is built.  `text` names
+    an order too large to be worth computing, such as "10000!"."""
+    if order > engine.DEFAULT_ORDER_LIMIT:
+        raise SizeLimitError(f"group order {text or order} exceeds engine "
+                             f"bound {engine.DEFAULT_ORDER_LIMIT}")
+
+
 def _group_from_descriptor(descriptor: str) -> engine.FiniteGroup:
     kind = descriptor[:1].upper()
     if kind in "CDSA" and descriptor[1:].isdigit():
         n = int(descriptor[1:])
+        if kind in "CD":
+            _refuse_past_order_bound(n)
+        else:
+            # |S_n| = n! and |A_n| = n!/2, multiplied out only up to the bound
+            halved = kind == "A" and n >= 2
+            order = 1
+            for k in range(2, n + 1):
+                order *= k
+                if order >> halved > engine.DEFAULT_ORDER_LIMIT:
+                    formula = f"{n}!/2" if halved else f"{n}!"
+                    _refuse_past_order_bound(order >> halved,
+                                             formula if k < n else "")
         return {
             "C": engine.cyclic_group,
             "D": engine.dihedral_group,
@@ -171,7 +194,9 @@ def _group_from_descriptor(descriptor: str) -> engine.FiniteGroup:
         }[kind](n)
     if kind == "F" and "_" in descriptor:
         p_str, m_str = descriptor[1:].split("_", 1)
-        group, _ = constructions.build_frobenius(int(p_str), int(m_str))
+        p, m = int(p_str), int(m_str)
+        _refuse_past_order_bound(p * m)
+        group, _ = constructions.build_frobenius(p, m)
         return group
     with open(descriptor, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -188,90 +213,84 @@ def _group_from_descriptor(descriptor: str) -> engine.FiniteGroup:
 
 
 def _cmd_degrees(args) -> Report:
-    with timer() as t:
-        group = _group_from_descriptor(args.group)
-        degrees = engine.irreducible_degrees(group, seed=args.seed)
-        row = {
-            "group": args.group,
-            "order": group.order,
-            "classes": len(degrees),
-            "degrees": list(degrees.degrees),
-            "linear": degrees.linear_count(),
-            "sum_of_squares": degrees.sum_of_squares(),
-            "ok": True,
-        }
-        if args.p is not None:
-            row["p"] = args.p
-            row["pprime_count"] = degrees.pprime_count(args.p)
-    return Report("degrees", {"group": args.group, "p": args.p}, [row],
-                  elapsed_seconds=t.elapsed)
+    group = _group_from_descriptor(args.group)
+    degrees = engine.irreducible_degrees(group, seed=args.seed)
+    row = {
+        "group": args.group,
+        "order": group.order,
+        "classes": len(degrees),
+        "degrees": list(degrees.degrees),
+        "linear": degrees.linear_count(),
+        "sum_of_squares": degrees.sum_of_squares(),
+        "ok": True,
+    }
+    if args.p is not None:
+        row["p"] = args.p
+        row["pprime_count"] = degrees.pprime_count(args.p)
+    return Report("degrees", {"group": args.group, "p": args.p}, [row])
 
 
 def _cmd_frobenius(args) -> Report:
-    with timer() as t:
-        p = args.p
-        if not landau.is_prime(p):  # before isqrt, which refuses p < 1
-            raise ValueError(f"{p} is not prime")
-        m = args.m if args.m is not None else math.isqrt(p - 1)
-        group, params = constructions.build_frobenius(p, m)
-        closed = constructions.frobenius_degree_multiset(params)
-        engine_degrees = engine.irreducible_degrees(group, seed=args.seed)
-        agrees = closed.counts == engine_degrees.counts
-        pprime_count = closed.pprime_count(p)
-        # at m = sqrt(p-1) the count must attain the bound 2*sqrt(p-1)
-        attained = m * m != p - 1 or pprime_count == 2 * m
-        row = {
-            "p": p,
-            "m": m,
-            "order": group.order,
-            "classes": len(engine_degrees),
-            "degrees": list(closed.degrees),
-            "pprime_count": pprime_count,
-            "engine_agrees": agrees,
-            "ok": agrees and attained,
-        }
-    return Report("frobenius", {"p": p, "m": m}, [row], elapsed_seconds=t.elapsed)
+    p = args.p
+    if not landau.is_prime(p):  # before isqrt, which refuses p < 1
+        raise ValueError(f"{p} is not prime")
+    m = args.m if args.m is not None else math.isqrt(p - 1)
+    _refuse_past_order_bound(p * m)
+    group, params = constructions.build_frobenius(p, m)
+    closed = constructions.frobenius_degree_multiset(params)
+    engine_degrees = engine.irreducible_degrees(group, seed=args.seed)
+    agrees = closed.counts == engine_degrees.counts
+    pprime_count = closed.pprime_count(p)
+    # at m = sqrt(p-1) the count must attain the bound 2*sqrt(p-1)
+    attained = m * m != p - 1 or pprime_count == 2 * m
+    row = {
+        "p": p,
+        "m": m,
+        "order": group.order,
+        "classes": len(engine_degrees),
+        "degrees": list(closed.degrees),
+        "pprime_count": pprime_count,
+        "engine_agrees": agrees,
+        "ok": agrees and attained,
+    }
+    return Report("frobenius", {"p": p, "m": m}, [row])
 
 
 def _cmd_solvable(args) -> Report:
-    with timer() as t:
-        p = args.p
-        r = (constructions.find_construction_prime(p)
-             if args.r == "auto" else args.r)
-        built = constructions.build_gamma_l(p, r)
-        clifford = constructions.clifford_pprime_count(
-            built.action, p, engine_seed=args.seed
-        )
-        m = built.m
-        expected = 2 * m
-        row = {
-            "p": p,
-            "r": r,
-            "m": m,
-            "order": (r**m) * p * m,
-            "degrees": dict(clifford.degrees.counts),
-            "pprime_count": clifford.pprime_count,
-            "expected": expected,
-            "sum_of_squares": clifford.degrees.sum_of_squares(),
-            "invariants_verified": True,
-            "ok": clifford.pprime_count == expected,
-        }
-        rows = [row]
-        if args.cross_check:
-            check = constructions.engine_cross_check(built, p, seed=args.seed)
-            rows += check.rows
+    p = args.p
+    r = constructions.find_construction_prime(p) if args.r == "auto" else args.r
+    built = constructions.build_gamma_l(p, r)
+    clifford = constructions.clifford_pprime_count(
+        built.action, p, engine_seed=args.seed
+    )
+    m = built.m
+    expected = 2 * m
+    row = {
+        "p": p,
+        "r": r,
+        "m": m,
+        "order": (r**m) * p * m,
+        "degrees": dict(clifford.degrees.counts),
+        "pprime_count": clifford.pprime_count,
+        "expected": expected,
+        "sum_of_squares": clifford.degrees.sum_of_squares(),
+        "invariants_verified": True,
+        "ok": clifford.pprime_count == expected,
+    }
+    rows = [row]
+    if args.cross_check:
+        rows += constructions.engine_cross_check(built, p, seed=args.seed).rows
     return Report("solvable", {"p": p, "r": r, "cross_check": args.cross_check},
-                  rows, elapsed_seconds=t.elapsed)
+                  rows)
 
 
 def _cmd_landau(args) -> Report:
-    with timer() as t:
-        rows = [
-            {"p": lp.p, "m": lp.m, "degenerate": lp.degenerate}
-            for lp in landau.landau_primes(args.limit)
-        ]
+    rows = [
+        {"p": lp.p, "m": lp.m, "degenerate": lp.degenerate}
+        for lp in landau.landau_primes(args.limit)
+    ]
     return Report("landau", {"limit": args.limit}, rows,
-                  counters={"count": len(rows)}, elapsed_seconds=t.elapsed)
+                  counters={"count": len(rows)})
 
 
 def _cmd_bounds(args) -> Report:
@@ -327,15 +346,14 @@ def checks(full: bool, seed: int = 0) -> list[tuple[str, Callable[[], Report]]]:
 
 def _cmd_verify_all(args) -> Report:
     rows = []
-    with timer() as t:
-        for name, run in checks(args.full, args.seed):
-            report = run()
-            rows.append({"check": name, "status": report.status,
-                         "rows": len(report.rows),
-                         "failures": len(report.failures),
-                         "ok": report.status != "fail"})
+    for name, run in checks(args.full, args.seed):
+        report = run()
+        rows.append({"check": name, "status": report.status,
+                     "rows": len(report.rows),
+                     "failures": len(report.failures),
+                     "ok": report.status != "fail"})
     return Report("verify-all", {"profile": "full" if args.full else "quick"},
-                  rows, elapsed_seconds=t.elapsed)
+                  rows)
 
 
 if __name__ == "__main__":

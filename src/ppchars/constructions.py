@@ -46,7 +46,7 @@ from .landau import (
     multiplicative_order,
     prime_divisors,
 )
-from .report import Report, timer
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -585,30 +585,27 @@ def engine_cross_check(target, p: int, seed: int = 0) -> Report:
     if expected_order > DEFAULT_ORDER_LIMIT:
         raise SizeLimitError(f"|V x| A| = {expected_order} exceeds engine "
                              f"bound {DEFAULT_ORDER_LIMIT}")
-    with timer() as t:
-        clifford = clifford_pprime_count(action, p, engine_seed=seed)
-        product = semidirect_product_permutations(action)
-        engine_degrees = irreducible_degrees(product, seed=seed)
-        if engine_degrees.counts != clifford.degrees.counts:
-            raise ConsistencyError(
-                "engine and Clifford degree multisets disagree: "
-                f"{engine_degrees.counts} vs {clifford.degrees.counts}"
-            )
-        rows = [
-            {
-                "check": "degree multisets equal",
-                "order": product.order,
-                "classes": len(engine_degrees),
-                "pprime_count": clifford.pprime_count,
-                "sum_of_squares": engine_degrees.sum_of_squares(),
-                "ok": True,
-            }
-        ]
+    clifford = clifford_pprime_count(action, p, engine_seed=seed)
+    product = semidirect_product_permutations(action)
+    engine_degrees = irreducible_degrees(product, seed=seed)
+    if engine_degrees.counts != clifford.degrees.counts:
+        raise ConsistencyError(
+            "engine and Clifford degree multisets disagree: "
+            f"{engine_degrees.counts} vs {clifford.degrees.counts}"
+        )
+    rows = [
+        {
+            "check": "degree multisets equal",
+            "order": product.order,
+            "classes": len(engine_degrees),
+            "pprime_count": clifford.pprime_count,
+            "sum_of_squares": engine_degrees.sum_of_squares(),
+            "ok": True,
+        }
+    ]
     return Report(
         command="engine-cross-check",
         parameters={"p": p, "order": product.order},
         rows=rows,
         counters={"degrees": len(engine_degrees)},
-        seed=seed,
-        elapsed_seconds=t.elapsed,
     )

@@ -113,14 +113,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def multiplication_table(self) -> list[tuple[int, ...]]:
-        if self._table is None:
-            self._table = [
-                tuple(self.mul(i, j) for j in range(self.order))
-                for i in range(self.order)
-            ]
-        return self._table
-
     def validate(self) -> None:
         """Prove the group axioms exactly: no sampling, no order cut-off.
 
@@ -234,14 +226,6 @@ class DegreeMultiset:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return sum(k for d, k in self.counts if d % p != 0)
-
-
-def pprime_degree_count(group_or_degrees, p: int) -> int:
-    """Number of irreducible degrees coprime to p; accepts a group (degrees
-    are computed) or an already-computed multiset."""
-    if isinstance(group_or_degrees, DegreeMultiset):
-        return group_or_degrees.pprime_count(p)
-    return irreducible_degrees(group_or_degrees).pprime_count(p)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +450,7 @@ def alternating_group(n: int) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 # conjugacy classes and subgroup machinery
 
-def conjugacy_classes(
-    group: FiniteGroup, order_limit: int = DEFAULT_ORDER_LIMIT
-) -> ConjugacyClasses:
-    if group.order > order_limit:
-        raise SizeLimitError(
-            f"group order {group.order} exceeds engine bound {order_limit}"
-        )
+def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
     n = group.order
     class_of = [-1] * n
     reps, sizes = [], []
@@ -742,7 +720,6 @@ def irreducible_degrees(
     group: FiniteGroup,
     seed: int = 0,
     order_limit: int = DEFAULT_ORDER_LIMIT,
-    class_limit: int = DEFAULT_CLASS_LIMIT,
     max_rounds: int = 64,
 ) -> DegreeMultiset:
     """Exact irreducible character degree multiset of a finite group."""
@@ -752,10 +729,12 @@ def irreducible_degrees(
         )
     if group.order == 1:
         return DegreeMultiset(((1, 1),))
-    cc = conjugacy_classes(group, order_limit=order_limit)
+    cc = conjugacy_classes(group)
     c = len(cc.reps)
-    if c > class_limit:
-        raise SizeLimitError(f"{c} classes exceeds engine bound {class_limit}")
+    if c > DEFAULT_CLASS_LIMIT:
+        raise SizeLimitError(
+            f"{c} classes exceeds engine bound {DEFAULT_CLASS_LIMIT}"
+        )
     exponent = 1
     for rep in cc.reps:
         exponent = math.lcm(exponent, group.element_order(rep))

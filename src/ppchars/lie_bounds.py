@@ -23,7 +23,7 @@ from functools import lru_cache
 from .errors import ConsistencyError
 from .landau import factorize, is_prime, prime_powers
 from .partitions import _compositions, enumerate_partitions, split_count
-from .report import Report, timer
+from .report import Report
 
 E8_WEYL_ORDER = 696729600
 
@@ -102,90 +102,80 @@ TABLE1: tuple[tuple[str, int, int], ...] = (
 
 def verify_table2() -> Report:
     rows = []
-    with timer() as t:
-        for entry in TABLE2:
-            recomputed = lemma_easy_bound(entry.count, entry.cyclic_sylow)
-            rows.append(
-                {
-                    "group": entry.group_tag,
-                    "d": entry.d_list,
-                    "count": entry.count,
-                    "cyclic_sylow": entry.cyclic_sylow,
-                    "stated": entry.stated_p_bound,
-                    "recomputed": recomputed,
-                    "ok": recomputed == entry.stated_p_bound,
-                }
-            )
+    for entry in TABLE2:
+        recomputed = lemma_easy_bound(entry.count, entry.cyclic_sylow)
+        rows.append(
+            {
+                "group": entry.group_tag,
+                "d": entry.d_list,
+                "count": entry.count,
+                "cyclic_sylow": entry.cyclic_sylow,
+                "stated": entry.stated_p_bound,
+                "recomputed": recomputed,
+                "ok": recomputed == entry.stated_p_bound,
+            }
+        )
     return Report(
         command="bounds --table2",
         parameters={},
         rows=rows,
         counters={"rows": len(rows), "mismatches": sum(not r["ok"] for r in rows)},
-        elapsed_seconds=t.elapsed,
     )
-
-
-def table1_data() -> tuple[tuple[str, int, int], ...]:
-    return TABLE1
 
 
 def table1_report() -> Report:
     """Each (group, p, count) must satisfy count^2/4 + 1 > p."""
     rows = []
-    with timer() as t:
-        for group_tag, p, count in TABLE1:
-            ok = count * count > 4 * (p - 1)
-            rows.append(
-                {
-                    "group": group_tag,
-                    "p": p,
-                    "count": count,
-                    "bound": count * count // 4 + 1,
-                    "ok": ok,
-                }
-            )
+    for group_tag, p, count in TABLE1:
+        ok = count * count > 4 * (p - 1)
+        rows.append(
+            {
+                "group": group_tag,
+                "p": p,
+                "count": count,
+                "bound": count * count // 4 + 1,
+                "ok": ok,
+            }
+        )
     return Report(
         command="bounds --table1",
         parameters={},
         rows=rows,
         counters={"rows": len(rows)},
-        elapsed_seconds=t.elapsed,
     )
 
 
 # ---------------------------------------------------------------------------
 # defining characteristic
 
-def defining_char_check(
-    l_max: int = 8, r_max: int = 97, f_max: int = 6
-) -> Report:
-    """q^l > 2*sqrt(p-1) * |Out|-bound over the grid, with q = p^f.
+def defining_char_check() -> Report:
+    """q^l > 2*sqrt(p-1) * |Out|-bound over the grid 2 <= l <= 8,
+    5 <= p <= 97 and 1 <= f <= 6, with q = p^f.
 
     The generic outer bound is (6l+3)f; the two known tight points
     (f, l, p) = (1, 2, 5) and (1, 2, 7) use 6 and 8 respectively.
     """
+    l_max, r_max, f_max = 8, 97, 6
     rows = []
-    with timer() as t:
-        for p in (x for x in range(5, r_max + 1) if is_prime(x)):
-            for l in range(2, l_max + 1):
-                for f in range(1, f_max + 1):
-                    if (f, l, p) == (1, 2, 5):
-                        bound = 6
-                    elif (f, l, p) == (1, 2, 7):
-                        bound = 8
-                    else:
-                        bound = (6 * l + 3) * f
-                    q = p**f
-                    ok = q ** (2 * l) > 4 * (p - 1) * bound * bound
-                    rows.append(
-                        {"l": l, "p": p, "f": f, "out_bound": bound, "ok": ok}
-                    )
+    for p in (x for x in range(5, r_max + 1) if is_prime(x)):
+        for l in range(2, l_max + 1):
+            for f in range(1, f_max + 1):
+                if (f, l, p) == (1, 2, 5):
+                    bound = 6
+                elif (f, l, p) == (1, 2, 7):
+                    bound = 8
+                else:
+                    bound = (6 * l + 3) * f
+                q = p**f
+                ok = q ** (2 * l) > 4 * (p - 1) * bound * bound
+                rows.append(
+                    {"l": l, "p": p, "f": f, "out_bound": bound, "ok": ok}
+                )
     return Report(
         command="bounds --defining",
         parameters={"l_max": l_max, "r_max": r_max, "f_max": f_max},
         rows=rows,
         counters={"checked": len(rows), "violations": sum(not r["ok"] for r in rows)},
-        elapsed_seconds=t.elapsed,
     )
 
 
@@ -316,26 +306,25 @@ def classical_inequality_check(
     rows = []
     skipped_no_p = 0
     skipped_nonabelian = 0
-    with timer() as t:
-        for r, f, q in prime_powers(q_max):
-            if f > f_max:
-                continue
-            eligible: dict[int, list[tuple[int, int, int]]] = {}  # d -> primes
-            for n in range(n_min, rank_max + 1):
-                for d in range(1, n + 1):
-                    a = n // d
-                    if a < 2:
-                        continue
-                    if d not in eligible:
-                        eligible[d] = _eligible_primes(convention, q, d)
-                    checked = _check_point(
-                        family, convention, halved, r, f, q, n, d, a,
-                        eligible[d], rows,
-                    )
-                    if checked == "no_p":
-                        skipped_no_p += 1
-                    elif checked == "nonabelian":
-                        skipped_nonabelian += 1
+    for r, f, q in prime_powers(q_max):
+        if f > f_max:
+            continue
+        eligible: dict[int, list[tuple[int, int, int]]] = {}  # d -> primes
+        for n in range(n_min, rank_max + 1):
+            for d in range(1, n + 1):
+                a = n // d
+                if a < 2:
+                    continue
+                if d not in eligible:
+                    eligible[d] = _eligible_primes(convention, q, d)
+                checked = _check_point(
+                    family, convention, halved, r, f, q, n, d, a,
+                    eligible[d], rows,
+                )
+                if checked == "no_p":
+                    skipped_no_p += 1
+                elif checked == "nonabelian":
+                    skipped_nonabelian += 1
     return Report(
         command=f"bounds --classical --family {family}",
         parameters={
@@ -351,7 +340,6 @@ def classical_inequality_check(
             "points_without_eligible_p": skipped_no_p,
             "points_nonabelian_sylow_only": skipped_nonabelian,
         },
-        elapsed_seconds=t.elapsed,
     )
 
 
@@ -402,41 +390,41 @@ def _check_point(family, convention, halved, r, f, q, n, d, a, eligible, rows) -
 # ---------------------------------------------------------------------------
 # the E8, d = 1 tail check
 
-def e8_d1_check(q_min: int = 1001, q_max: int = 4096) -> Report:
-    """(q-1)^8 / |W(E8)| > 2 f sqrt(p-1) for prime powers q in range and
-    primes 5 <= p | q - 1.
+def e8_d1_check(q_max: int = 4096) -> Report:
+    """(q-1)^8 / |W(E8)| > 2 f sqrt(p-1) for prime powers 1001 <= q <= q_max
+    and primes 5 <= p | q - 1.
 
     Compared exactly as (q-1)^16 > |W(E8)|^2 * 4 f^2 (p-1).  The f factor
     bounds log_p(q) only when r <= p; each row therefore also carries the
     strictly dominating variant with f replaced by ceil(log_p q), computed
     by integer powering.
     """
+    q_min = 1001
     rows = []
     w2 = E8_WEYL_ORDER * E8_WEYL_ORDER
-    with timer() as t:
-        for r, f, q in prime_powers(q_max):
-            if q < q_min:
-                continue
-            for p in _prime_divisors_ge5(q - 1):
-                lhs = (q - 1) ** 16
-                ok = lhs > w2 * 4 * f * f * (p - 1)
-                log_ceil = 1
-                acc = p
-                while acc < q:
-                    acc *= p
-                    log_ceil += 1
-                ok_strict = lhs > w2 * 4 * log_ceil * log_ceil * (p - 1)
-                rows.append(
-                    {
-                        "q": q,
-                        "r": r,
-                        "f": f,
-                        "p": p,
-                        "log_p_q_ceil": log_ceil,
-                        "ok": ok,
-                        "ok_strict": ok_strict,
-                    }
-                )
+    for r, f, q in prime_powers(q_max):
+        if q < q_min:
+            continue
+        for p in _prime_divisors_ge5(q - 1):
+            lhs = (q - 1) ** 16
+            ok = lhs > w2 * 4 * f * f * (p - 1)
+            log_ceil = 1
+            acc = p
+            while acc < q:
+                acc *= p
+                log_ceil += 1
+            ok_strict = lhs > w2 * 4 * log_ceil * log_ceil * (p - 1)
+            rows.append(
+                {
+                    "q": q,
+                    "r": r,
+                    "f": f,
+                    "p": p,
+                    "log_p_q_ceil": log_ceil,
+                    "ok": ok,
+                    "ok_strict": ok_strict,
+                }
+            )
     return Report(
         command="bounds --e8-d1",
         parameters={"q_min": q_min, "q_max": q_max},
@@ -446,5 +434,4 @@ def e8_d1_check(q_min: int = 1001, q_max: int = 4096) -> Report:
             "violations": sum(not r["ok"] for r in rows),
             "strict_violations": sum(not r["ok_strict"] for r in rows),
         },
-        elapsed_seconds=t.elapsed,
     )

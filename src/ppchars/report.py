@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
@@ -137,16 +136,4 @@ def _flat(value: Any) -> Any:
     if isinstance(value, (dict, list, tuple)):
         return json.dumps(value, sort_keys=True, default=str)
     return value
-
-
-class timer:
-    """Context manager stamping elapsed_seconds onto a report factory."""
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
-        return False
 

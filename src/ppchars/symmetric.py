@@ -22,7 +22,7 @@ from functools import lru_cache
 from . import partitions
 from .errors import ConsistencyError, SizeLimitError
 from .landau import is_prime, primes_up_to
-from .report import Report, timer
+from .report import Report
 
 ORACLE_BOUND = 30
 
@@ -106,10 +106,10 @@ def symmetric_degrees(n: int) -> tuple[tuple[Shape, int], ...]:
     )
 
 
-def irr_pprime_count_sym_oracle(n: int, p: int, bound: int = ORACLE_BOUND) -> int:
+def irr_pprime_count_sym_oracle(n: int, p: int) -> int:
     """Count partitions of n whose hook-length degree is coprime to p."""
-    if n > bound:
-        raise SizeLimitError(f"oracle bound is n <= {bound}, got {n}")
+    if n > ORACLE_BOUND:
+        raise SizeLimitError(f"oracle bound is n <= {ORACLE_BOUND}, got {n}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return sum(1 for _, d in symmetric_degrees(n) if d % p != 0)
@@ -140,54 +140,52 @@ def alternating_degrees(n: int) -> tuple[int, ...]:
     return tuple(sorted(degrees))
 
 
-def irr_pprime_count_alt_oracle(n: int, p: int, bound: int = ORACLE_BOUND) -> int:
+def irr_pprime_count_alt_oracle(n: int, p: int) -> int:
     """Count A_n character degrees coprime to p (restriction-rule oracle)."""
     if n < 5:
         raise ValueError("alternating oracle needs n >= 5")
-    if n > bound:
-        raise SizeLimitError(f"oracle bound is n <= {bound}, got {n}")
+    if n > ORACLE_BOUND:
+        raise SizeLimitError(f"oracle bound is n <= {ORACLE_BOUND}, got {n}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return sum(1 for d in alternating_degrees(n) if d % p != 0)
 
 
-def verify_symmetric_bounds(n_max: int, primes=None, bound: int = ORACLE_BOUND) -> Report:
+def verify_symmetric_bounds(n_max: int, primes=None) -> Report:
     """Sweep all n <= n_max and primes p <= n: the digit-product count must
     equal the hook oracle and satisfy count >= n-1 >= p-1.
 
     n = 6 rows are flagged (Aut(A_6) is bigger than S_6, so downstream
     alternating-group arguments treat it separately), but still checked.
     """
-    if n_max > bound:
-        raise SizeLimitError(f"oracle bound is n <= {bound}, got {n_max}")
+    if n_max > ORACLE_BOUND:
+        raise SizeLimitError(f"oracle bound is n <= {ORACLE_BOUND}, got {n_max}")
     wanted = set(primes) if primes is not None else None
     for p in sorted(wanted or ()):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     rows = []
-    with timer() as t:
-        for n in range(1, n_max + 1):
-            for p in primes_up_to(n):
-                if wanted is not None and p not in wanted:
-                    continue
-                formula = macdonald_count(n, p)
-                oracle = irr_pprime_count_sym_oracle(n, p, bound=bound)
-                ok = formula == oracle and formula >= n - 1 >= p - 1
-                rows.append(
-                    {
-                        "n": n,
-                        "p": p,
-                        "formula": formula,
-                        "oracle": oracle,
-                        "lower_bound": n - 1,
-                        "ok": ok,
-                        "flagged_n6": n == 6,
-                    }
-                )
+    for n in range(1, n_max + 1):
+        for p in primes_up_to(n):
+            if wanted is not None and p not in wanted:
+                continue
+            formula = macdonald_count(n, p)
+            oracle = irr_pprime_count_sym_oracle(n, p)
+            ok = formula == oracle and formula >= n - 1 >= p - 1
+            rows.append(
+                {
+                    "n": n,
+                    "p": p,
+                    "formula": formula,
+                    "oracle": oracle,
+                    "lower_bound": n - 1,
+                    "ok": ok,
+                    "flagged_n6": n == 6,
+                }
+            )
     return Report(
         command="verify-symmetric",
         parameters={"n_max": n_max, "primes": sorted(wanted) if wanted else "all"},
         rows=rows,
         counters={"checked": len(rows), "violations": sum(not r["ok"] for r in rows)},
-        elapsed_seconds=t.elapsed,
     )

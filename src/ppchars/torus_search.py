@@ -29,7 +29,7 @@ from .landau import (
     prime_powers,
 )
 from .lie_bounds import cyclotomic_value
-from .report import Report, timer
+from .report import Report
 
 
 @dataclass(frozen=True, order=True)
@@ -227,12 +227,16 @@ def exceptional_series_hits(q_max: int = 256) -> list[TorusHit]:
     return sorted(hits.values())
 
 
-def defining_characteristic_hits(limit: int = 300) -> list[TorusHit]:
+# Landau primes are swept up to this bound, past every prime in THEOREM_LISTS
+LANDAU_LIMIT = 300
+
+
+def defining_characteristic_hits() -> list[TorusHit]:
     """Defining-characteristic branch: Sylow subgroups of order p occur
     only for L_2(p), with automizer (p-1)/gcd(p-1, 2); a hit needs that
     to equal sqrt(p-1), which happens exactly at p = 5."""
     hits = []
-    for lp in landau_primes(limit):
+    for lp in landau_primes(LANDAU_LIMIT):
         if lp.degenerate:
             continue
         automizer = (lp.p - 1) // math.gcd(lp.p - 1, 2)
@@ -244,40 +248,38 @@ def defining_characteristic_hits(limit: int = 300) -> list[TorusHit]:
     return hits
 
 
-def alternating_check(limit: int = 300) -> Report:
+def alternating_check() -> Report:
     """Elements of order p in an alternating group are conjugate to at
     least (p-1)/2 of their powers, so a hit needs (p-1)/2 <= sqrt(p-1);
     among Landau primes that holds only at p = 5 (degenerate p = 2 aside),
     leaving the candidates A5 and A6 (where 5-cycles are non-rational)."""
     rows = []
     candidates = []
-    with timer() as t:
-        for lp in landau_primes(limit):
-            # (p-1)/2 <= sqrt(p-1)  <=>  (p-1)^2 <= 4(p-1)  <=>  p <= 5
-            holds = (lp.p - 1) ** 2 <= 4 * (lp.p - 1)
-            rows.append(
-                {
-                    "p": lp.p,
-                    "half_p_minus_1": (lp.p - 1) // 2,
-                    "m": lp.m,
-                    "rationality_bound_holds": holds,
-                    "degenerate": lp.degenerate,
-                    "ok": holds == (lp.p <= 5),
-                }
-            )
-            if holds and not lp.degenerate:
-                candidates += [("A5", lp.p), ("A6", lp.p)]
+    for lp in landau_primes(LANDAU_LIMIT):
+        # (p-1)/2 <= sqrt(p-1)  <=>  (p-1)^2 <= 4(p-1)  <=>  p <= 5
+        holds = (lp.p - 1) ** 2 <= 4 * (lp.p - 1)
+        rows.append(
+            {
+                "p": lp.p,
+                "half_p_minus_1": (lp.p - 1) // 2,
+                "m": lp.m,
+                "rationality_bound_holds": holds,
+                "degenerate": lp.degenerate,
+                "ok": holds == (lp.p <= 5),
+            }
+        )
+        if holds and not lp.degenerate:
+            candidates += [("A5", lp.p), ("A6", lp.p)]
     return Report(
         command="torus-search --alternating",
-        parameters={"limit": limit},
+        parameters={"limit": LANDAU_LIMIT},
         rows=rows,
         counters={"candidates": len(candidates)},
-        elapsed_seconds=t.elapsed,
     )
 
 
-def alternating_candidates(limit: int = 300) -> list[tuple[str, int]]:
-    report = alternating_check(limit)
+def alternating_candidates() -> list[tuple[str, int]]:
+    report = alternating_check()
     out = []
     for row in report.rows:
         if row["rationality_bound_holds"] and not row["degenerate"]:
@@ -308,31 +310,30 @@ def reconcile_with_theorem(q_max: int = 256, n_max: int = 12) -> Report:
     """Full hit set (classical + exceptional + defining characteristic +
     alternating candidates) against the classification lists: exact set
     equality per p, no extras at other primes."""
-    with timer() as t:
-        all_hits = (
-            search(q_max, n_max)
-            + exceptional_series_hits(q_max)
-            + defining_characteristic_hits()
+    all_hits = (
+        search(q_max, n_max)
+        + exceptional_series_hits(q_max)
+        + defining_characteristic_hits()
+    )
+    by_p: dict[int, set[str]] = {}
+    for h in all_hits:
+        by_p.setdefault(h.p, set()).add(ISOMORPHIC_LABEL.get(h.label, h.label))
+    for label, p in alternating_candidates():
+        by_p.setdefault(p, set()).add(label)
+    rows = []
+    for p in sorted(set(THEOREM_LISTS) | set(by_p)):
+        computed = by_p.get(p, set())
+        expected = THEOREM_LISTS.get(p, frozenset())
+        rows.append(
+            {
+                "p": p,
+                "computed": sorted(computed),
+                "expected": sorted(expected),
+                "missing": sorted(expected - computed),
+                "extra": sorted(computed - expected),
+                "ok": computed == expected,
+            }
         )
-        by_p: dict[int, set[str]] = {}
-        for h in all_hits:
-            by_p.setdefault(h.p, set()).add(ISOMORPHIC_LABEL.get(h.label, h.label))
-        for label, p in alternating_candidates():
-            by_p.setdefault(p, set()).add(label)
-        rows = []
-        for p in sorted(set(THEOREM_LISTS) | set(by_p)):
-            computed = by_p.get(p, set())
-            expected = THEOREM_LISTS.get(p, frozenset())
-            rows.append(
-                {
-                    "p": p,
-                    "computed": sorted(computed),
-                    "expected": sorted(expected),
-                    "missing": sorted(expected - computed),
-                    "extra": sorted(computed - expected),
-                    "ok": computed == expected,
-                }
-            )
     return Report(
         command="torus-search --reconcile",
         parameters={"q_max": q_max, "n_max": n_max},
@@ -341,33 +342,30 @@ def reconcile_with_theorem(q_max: int = 256, n_max: int = 12) -> Report:
             "hit_labels": sum(len(r["computed"]) for r in rows),
             "mismatched_primes": sum(not r["ok"] for r in rows),
         },
-        elapsed_seconds=t.elapsed,
     )
 
 
 def search_report(q_max: int = 256, n_max: int = 12) -> Report:
-    with timer() as t:
-        hits = search(q_max, n_max) + exceptional_series_hits(q_max)
-        hits.sort()
-        rows = [
-            {
-                "p": h.p,
-                "label": h.label,
-                "family": h.family,
-                "q": h.q,
-                "r": h.r,
-                "f": h.f,
-                "n": h.n,
-                "u": h.u,
-                "m": h.m,
-                "iso_note": ISOMORPHIC_LABEL.get(h.label, ""),
-            }
-            for h in hits
-        ]
+    hits = search(q_max, n_max) + exceptional_series_hits(q_max)
+    hits.sort()
+    rows = [
+        {
+            "p": h.p,
+            "label": h.label,
+            "family": h.family,
+            "q": h.q,
+            "r": h.r,
+            "f": h.f,
+            "n": h.n,
+            "u": h.u,
+            "m": h.m,
+            "iso_note": ISOMORPHIC_LABEL.get(h.label, ""),
+        }
+        for h in hits
+    ]
     return Report(
         command="torus-search",
         parameters={"q_max": q_max, "n_max": n_max},
         rows=rows,
         counters={"hits": len(rows)},
-        elapsed_seconds=t.elapsed,
     )

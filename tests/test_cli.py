@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import ppchars
-from ppchars.cli import main
+from ppchars.cli import build_parser, main
 from ppchars.report import Report
 
 
@@ -290,3 +290,53 @@ def test_verify_all_full():
     # the solvable row counts the engine cross-check row too
     solvable = next(r for r in report["rows"] if r["check"] == "solvable p=5")
     assert solvable["rows"] == 2
+
+
+def test_main_stamps_elapsed_seconds_on_every_subcommand():
+    # one cheap invocation per subcommand; the set must name them all
+    argvs = {
+        "partitions": ["--pi", "5"],
+        "verify-symmetric": ["--max-n", "5"],
+        "degrees": ["--group", "C2"],
+        "frobenius": ["--p", "5"],
+        "solvable": ["--p", "5"],
+        "landau": ["--limit", "10"],
+        "bounds": ["--table1"],
+        "torus-search": ["--qmax", "8", "--nmax", "4"],
+        "verify-all": ["--quick"],
+    }
+    subcommands = next(a for a in build_parser()._actions
+                       if a.dest == "command").choices
+    assert set(argvs) == set(subcommands)
+    for command, argv in argvs.items():
+        code, out = run_cli([command] + argv)
+        assert code == 0, command
+        assert json.loads(out)["elapsed_seconds"] > 0, command
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["degrees", "--group", "C100000"], "100000"),
+    (["degrees", "--group", "D10002"], "10002"),
+    (["degrees", "--group", "S10000"], "10000!"),
+    (["degrees", "--group", "A10000"], "10000!/2"),
+    (["degrees", "--group", "S7"], "5040"),
+    (["degrees", "--group", "A8"], "20160"),
+    (["degrees", "--group", "F100003_2"], "200006"),
+    (["frobenius", "--p", "100003", "--m", "2"], "200006"),
+    (["frobenius", "--p", "10007", "--m", "2"], "20014"),
+])
+def test_group_past_the_order_bound_is_refused_before_it_is_built(argv, order):
+    # under a 1 GB address-space cap, so that a group built before the
+    # refusal fails this test with a MemoryError instead of taking the
+    # machine's memory
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from ppchars.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: group order {order} exceeds engine bound 5000\n"
