@@ -170,6 +170,17 @@ def _refuse_past_order_bound(order: int, text: str = "") -> None:
                              f"bound {engine.DEFAULT_ORDER_LIMIT}")
 
 
+class _SharedInts(dict):
+    """Numeral text -> int, one int object per distinct numeral.  Its
+    bound `__getitem__` is `json.load`'s `parse_int`: a table file of n^2
+    entries then holds n int objects, not n^2, and `validate` compares
+    identical objects.  A hit costs one dict lookup at C speed."""
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
 def _group_from_descriptor(descriptor: str) -> engine.FiniteGroup:
     kind = descriptor[:1].upper()
     if kind in "CDSA" and descriptor[1:].isdigit():
@@ -199,14 +210,22 @@ def _group_from_descriptor(descriptor: str) -> engine.FiniteGroup:
         group, _ = constructions.build_frobenius(p, m)
         return group
     with open(descriptor, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=_SharedInts().__getitem__)
     if not isinstance(data, dict):
         raise ValueError("group file must hold a JSON object")
     if "permutations" in data:
         return engine.group_from_permutations(data["permutations"])
     if "mult" in data:
+        table = data["mult"]
+        if isinstance(table, list):
+            # each row list is freed as its tuple is made, and
+            # group_from_table keeps tuple rows as they are: the n^2
+            # entries are never held twice
+            for i, row in enumerate(table):
+                if isinstance(row, list):
+                    table[i] = tuple(row)
         try:
-            return engine.group_from_table(data["mult"])
+            return engine.group_from_table(table)
         except ConsistencyError as exc:  # the file's law, not the program
             raise ValueError(f"not a group table: {exc}") from exc
     raise ValueError("group file needs a 'permutations' or 'mult' key")

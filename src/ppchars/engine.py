@@ -356,14 +356,11 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
         raise ValueError("table entries must be integers")
     if any(min(row) < 0 or max(row) >= n for row in table):
         raise ValueError(f"table entries must lie in 0..{n - 1}")
-    # rows of one shared int object per label, so that most comparisons in
-    # validate() meet identical objects; itemgetter(0) would return a bare 0
-    labels = list(range(n))
-    if n > 1:
-        rows = [itemgetter(*row)(labels) for row in table]
-    else:
-        rows = [tuple(row) for row in table]
-    identity_row = tuple(labels)
+    # Light's test in validate() mostly meets identical int objects: the
+    # group-file loader parses each distinct numeral into one shared object.
+    # It also hands over tuple rows, which tuple() keeps without a copy.
+    rows = [tuple(row) for row in table]
+    identity_row = tuple(range(n))
     identity = next(
         (e for e in range(n)
          if rows[e] == identity_row

@@ -22,6 +22,10 @@ from .errors import SizeLimitError
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 
+# The sieve to 10^7 takes about 0.5 s and 35 MB on a 2-vCPU Xeon; to 10^8,
+# 9 s and 350 MB.  The largest documented --qmax is 4096.
+SIEVE_LIMIT = 10_000_000
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -112,7 +116,11 @@ def prime_divisors(n: int) -> list[int]:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """Sieve of Eratosthenes."""
+    """Sieve of Eratosthenes, refused past SIEVE_LIMIT before the sieve is
+    allocated."""
+    if n > SIEVE_LIMIT:
+        raise SizeLimitError(f"sieve up to {n} exceeds the sieve bound "
+                             f"{SIEVE_LIMIT}")
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)

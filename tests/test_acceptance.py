@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from ppchars import constructions, engine, landau, lie_bounds
+from ppchars import constructions, engine, landau, lie_bounds, partitions
 from ppchars.cli import checks
 
 
@@ -225,6 +225,20 @@ def test_criterion_7_classical_bc_grid():
                ok,
                f"violations={violations} (single known defect of the "
                "printed bound at Sp_4(8), p = 7)")
+
+
+def test_wreath_d14_s2_has_twenty_classes():
+    """k(D_14 wr S_2) = 20, the count the B/C test above uses for
+    |Irr_7'(Sp_4(8))|: the engine on the wreath product, on 14 points,
+    against split_count(5, 2), since D_14 has 5 classes."""
+    rotation = [1, 2, 3, 4, 5, 6, 0] + list(range(7, 14))
+    reflection = [0, 6, 5, 4, 3, 2, 1] + list(range(7, 14))
+    swap = list(range(7, 14)) + list(range(7))
+    group = engine.group_from_permutations([rotation, reflection, swap])
+    degrees = engine.irreducible_degrees(group)
+    assert group.order == 392
+    assert degrees.counts == ((1, 4), (2, 1), (4, 12), (8, 3))
+    assert degrees.pprime_count(7) == 20 == partitions.split_count(5, 2)
 
 
 def test_criterion_8_engine_property_suite():

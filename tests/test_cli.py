@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -212,6 +213,20 @@ def test_bad_group_file_exit_codes(tmp_path):
         assert code == 1, data
         assert err.getvalue().startswith("error: "), data
         assert err.getvalue().count("\n") == 1, data
+    # a 5000-digit numeral: the loader's shared-int hook gives the default
+    # parser's message, which is Python's int-conversion limit on 3.11 and
+    # later, and the range check where there is no limit
+    table.write_text('{"mult": [[' + "7" * 5000 + ']]}')
+    try:
+        json.loads(table.read_text())
+        expected = "error: table entries must lie in 0..0\n"
+    except ValueError as exc:
+        expected = f"error: {exc}\n"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["degrees", "--group", str(table)])
+    assert code == 1
+    assert err.getvalue() == expected
     # a file that cannot be read is a usage error, with no traceback
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -314,6 +329,21 @@ def test_main_stamps_elapsed_seconds_on_every_subcommand():
         assert json.loads(out)["elapsed_seconds"] > 0, command
 
 
+def _run_capped(argv, timeout=60):
+    """`ppchars argv` in a child under a 1 GB address-space cap, so that an
+    input that is built before it is refused fails with a MemoryError
+    instead of taking the machine's memory."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from ppchars.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", script] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
 @pytest.mark.parametrize("argv, order", [
     (["degrees", "--group", "C100000"], "100000"),
     (["degrees", "--group", "D10002"], "10002"),
@@ -326,17 +356,76 @@ def test_main_stamps_elapsed_seconds_on_every_subcommand():
     (["frobenius", "--p", "10007", "--m", "2"], "20014"),
 ])
 def test_group_past_the_order_bound_is_refused_before_it_is_built(argv, order):
-    # under a 1 GB address-space cap, so that a group built before the
-    # refusal fails this test with a MemoryError instead of taking the
-    # machine's memory
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-              "from ppchars.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
-    proc = subprocess.run([sys.executable, "-c", script] + argv,
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_capped(argv)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: group order {order} exceeds engine bound 5000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus-search", "--qmax", "3000000000"],
+    ["bounds", "--e8-d1", "--qmax", "3000000000"],
+    ["bounds", "--classical", "--family", "a", "--qmax", "3000000000"],
+])
+def test_sieve_past_its_bound_is_refused_before_it_is_allocated(argv):
+    start = time.perf_counter()
+    proc = _run_capped(argv)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: sieve up to 3000000000 exceeds the sieve "
+                           "bound 10000000\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--pi", "20000000"], "pi(20000000) exceeds the partition bound 5000"),
+    (["--k", "100000", "100000"],
+     "k(100000, 100000) exceeds the split bound m <= 1000000, s <= 300"),
+    (["--k", "10000000", "5"],
+     "k(10000000, 5) exceeds the split bound m <= 1000000, s <= 300"),
+])
+def test_oversized_partitions_input_is_refused_up_front(argv, message):
+    proc = _run_capped(["partitions"] + argv, timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+def _frobenius_37_36_table():
+    """The Cayley table of the affine maps x -> a x + b of Z/37, which is
+    F(37,36) of order 1332: (a, b)(c, d) = (a c, a d + b)."""
+    elements = [(a, b) for a in range(1, 37) for b in range(37)]
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[a * c % 37, (a * d + b) % 37] for c, d in elements]
+            for a, b in elements]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident size from /proc")
+def test_table_file_loads_one_int_object_per_value(tmp_path):
+    # 1332^2 entries: a parse that gives each entry its own int object
+    # (about 42 bytes an entry) rises about 71 MiB, one that shares them
+    # and does not hold the rows twice about 22 MiB.  The child reads
+    # VmHWM, its own peak since exec: its ru_maxrss would start at the
+    # peak of this process, which it inherits.
+    gfile = tmp_path / "frob_37_36.json"
+    gfile.write_text(json.dumps({"mult": _frobenius_37_36_table()}))
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = ("import sys\n"
+              "def peak_kib():\n"
+              "    with open('/proc/self/status') as fh:\n"
+              "        return next(int(line.split()[1]) for line in fh\n"
+              "                    if line.startswith('VmHWM:'))\n"
+              "from ppchars.cli import main\n"
+              "before = peak_kib()\n"
+              "code = main(sys.argv[1:])\n"
+              "print(peak_kib() - before, file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "degrees", "--group", str(gfile)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["rows"][0]["order"] == 1332
+    rise_mib = int(proc.stderr) / 1024
+    assert rise_mib < 30
