@@ -9,11 +9,7 @@ of p'-degree: 2*sqrt(p-1) in total, meeting the general lower bound.
 
 import math
 
-from ppchars.constructions import (
-    build_frobenius,
-    extremal_count,
-    frobenius_degree_multiset,
-)
+from ppchars.constructions import build_frobenius, frobenius_degree_multiset
 from ppchars.engine import conjugacy_classes, irreducible_degrees
 from ppchars.landau import landau_primes
 
@@ -30,8 +26,8 @@ for lp in landau_primes(300):
     p, m = lp.p, lp.m
     group, params = build_frobenius(p, m)
     multiset = frobenius_degree_multiset(params)
-    count = extremal_count(p)
-    assert count == 2 * m == multiset.pprime_count(p)
+    count = multiset.pprime_count(p)
+    assert count == 2 * m
     classes = len(conjugacy_classes(group).reps)
     summary = f"{{1^{m}, {m}^{(p - 1) // m}}}"
     print(f"{p:5d} {m:3d} {group.order:6d} {classes:8d} {count:8d}  {summary}")

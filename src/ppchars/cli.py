@@ -19,7 +19,7 @@ from collections.abc import Callable
 from functools import partial
 
 from . import constructions, engine, landau, lie_bounds, symmetric, torus_search
-from .errors import ConsistencyError, SizeLimitError, UsageError
+from .errors import ConsistencyError, UsageError
 from .report import Report
 
 
@@ -161,15 +161,6 @@ def _cmd_verify_symmetric(args) -> Report:
     return symmetric.verify_symmetric_bounds(args.max_n, args.primes)
 
 
-def _refuse_past_order_bound(order: int, text: str = "") -> None:
-    """Refuse a group whose order, known from its description, is past
-    the engine bound, before any element of it is built.  `text` names
-    an order too large to be worth computing, such as "10000!"."""
-    if order > engine.DEFAULT_ORDER_LIMIT:
-        raise SizeLimitError(f"group order {text or order} exceeds engine "
-                             f"bound {engine.DEFAULT_ORDER_LIMIT}")
-
-
 class _SharedInts(dict):
     """Numeral text -> int, one int object per distinct numeral.  Its
     bound `__getitem__` is `json.load`'s `parse_int`: a table file of n^2
@@ -184,30 +175,15 @@ class _SharedInts(dict):
 def _group_from_descriptor(descriptor: str) -> engine.FiniteGroup:
     kind = descriptor[:1].upper()
     if kind in "CDSA" and descriptor[1:].isdigit():
-        n = int(descriptor[1:])
-        if kind in "CD":
-            _refuse_past_order_bound(n)
-        else:
-            # |S_n| = n! and |A_n| = n!/2, multiplied out only up to the bound
-            halved = kind == "A" and n >= 2
-            order = 1
-            for k in range(2, n + 1):
-                order *= k
-                if order >> halved > engine.DEFAULT_ORDER_LIMIT:
-                    formula = f"{n}!/2" if halved else f"{n}!"
-                    _refuse_past_order_bound(order >> halved,
-                                             formula if k < n else "")
         return {
             "C": engine.cyclic_group,
             "D": engine.dihedral_group,
             "S": engine.symmetric_group,
             "A": engine.alternating_group,
-        }[kind](n)
+        }[kind](int(descriptor[1:]))
     if kind == "F" and "_" in descriptor:
         p_str, m_str = descriptor[1:].split("_", 1)
-        p, m = int(p_str), int(m_str)
-        _refuse_past_order_bound(p * m)
-        group, _ = constructions.build_frobenius(p, m)
+        group, _ = constructions.build_frobenius(int(p_str), int(m_str))
         return group
     with open(descriptor, encoding="utf-8") as fh:
         data = json.load(fh, parse_int=_SharedInts().__getitem__)
@@ -254,7 +230,6 @@ def _cmd_frobenius(args) -> Report:
     if not landau.is_prime(p):  # before isqrt, which refuses p < 1
         raise ValueError(f"{p} is not prime")
     m = args.m if args.m is not None else math.isqrt(p - 1)
-    _refuse_past_order_bound(p * m)
     group, params = constructions.build_frobenius(p, m)
     closed = constructions.frobenius_degree_multiset(params)
     engine_degrees = engine.irreducible_degrees(group, seed=args.seed)

@@ -30,16 +30,16 @@ from dataclasses import dataclass
 
 from . import modlinalg as ml
 from .engine import (
-    DEFAULT_ORDER_LIMIT,
     DegreeMultiset,
     FiniteGroup,
     _generator_conjugations,
+    check_order,
     group_from_elements,
     group_from_permutations,
     group_from_table,
     irreducible_degrees,
 )
-from .errors import ConsistencyError, SearchExhaustedError, SizeLimitError
+from .errors import ConsistencyError, SearchExhaustedError
 from .landau import (
     is_perfect_square,
     is_prime,
@@ -69,6 +69,7 @@ class FrobeniusParams:
 
 def build_frobenius(p: int, m: int) -> tuple[FiniteGroup, FrobeniusParams]:
     """C_p x| C_m as affine maps x -> a^j x + b on Z/p."""
+    check_order(p * m)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1 or (p - 1) % m != 0:
@@ -93,20 +94,6 @@ def frobenius_degree_multiset(params: FrobeniusParams) -> DegreeMultiset:
     return DegreeMultiset.from_counter(
         Counter({1: params.m}) + Counter({params.m: (params.p - 1) // params.m})
     )
-
-
-def extremal_count(p: int) -> int:
-    """|Irr_p'(H)| for H = C_p x| C_sqrt(p-1); equals 2*sqrt(p-1)."""
-    if not is_prime(p) or not is_perfect_square(p - 1):
-        raise ValueError(f"{p} is not a prime with square p - 1")
-    if p < 5:
-        raise ValueError("degenerate Landau prime p = 2 is rejected here")
-    m = math.isqrt(p - 1)
-    degrees = frobenius_degree_multiset(FrobeniusParams(p, m, _order_m_element(p, m)))
-    count = degrees.pprime_count(p)
-    if count != 2 * m:
-        raise ConsistencyError(f"extremal count {count} != {2 * m}")
-    return count
 
 
 def _order_m_element(p: int, m: int) -> int:
@@ -243,6 +230,7 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
     if not is_prime(r):
         raise ValueError(f"{r} is not prime")
     m = math.isqrt(p - 1)
+    check_order(p * m)  # |A|, before any field or matrix is built
     if multiplicative_order(r, p) != m:
         raise ValueError(
             f"ord_{p}({r}) = {multiplicative_order(r, p)} != {m}; "
@@ -552,6 +540,7 @@ def semidirect_product_permutations(action: LinearGroupAction) -> FiniteGroup:
     """
     ell, dim, group = action.ell, action.dim, action.group
     size_v = ell**dim
+    check_order(size_v * group.order)
     vectors = list(_all_vectors(ell, dim))
     code_of = {v: i for i, v in enumerate(vectors)}
     gens = []
@@ -566,9 +555,7 @@ def semidirect_product_permutations(action: LinearGroupAction) -> FiniteGroup:
     for g in group.generators:
         mat = action.matrices[g]
         gens.append(tuple(code_of[tuple(ml.mat_vec(mat, v, ell))] for v in vectors))
-    product = group_from_permutations(
-        gens, max_order=size_v * group.order, name="V x| A"
-    )
+    product = group_from_permutations(gens, name="V x| A")
     if product.order != size_v * group.order:
         raise ValueError(
             f"permutation closure has order {product.order}; "
@@ -581,12 +568,8 @@ def engine_cross_check(target, p: int, seed: int = 0) -> Report:
     """Degrees of V x| A two ways: Clifford count vs. the degree engine on
     the explicit permutation group.  Disagreement is a hard failure."""
     action = target.action if isinstance(target, GammaLConstruction) else target
-    expected_order = action.ell**action.dim * action.group.order
-    if expected_order > DEFAULT_ORDER_LIMIT:
-        raise SizeLimitError(f"|V x| A| = {expected_order} exceeds engine "
-                             f"bound {DEFAULT_ORDER_LIMIT}")
-    clifford = clifford_pprime_count(action, p, engine_seed=seed)
     product = semidirect_product_permutations(action)
+    clifford = clifford_pprime_count(action, p, engine_seed=seed)
     engine_degrees = irreducible_degrees(product, seed=seed)
     if engine_degrees.counts != clifford.degrees.counts:
         raise ConsistencyError(

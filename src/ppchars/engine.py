@@ -54,8 +54,21 @@ from .landau import is_prime
 from .modlinalg import distinct_roots, krylov_minpoly, mat_vec
 
 DEFAULT_ORDER_LIMIT = 5000
-DEFAULT_CLOSURE_LIMIT = 100_000
 DEFAULT_CLASS_LIMIT = 80
+
+
+def check_order(order: int = 1, text: str = "") -> int:
+    """Return the engine's order bound, after refusing a group of the
+    given order past it.  Every group constructor calls this before it
+    builds an element, so the bound is read here and nowhere else.
+    `text` names an order too large to be worth computing, such as
+    "10000!"."""
+    limit = DEFAULT_ORDER_LIMIT
+    if order > limit:
+        raise SizeLimitError(
+            f"group order {text or order} exceeds engine bound {limit}"
+        )
+    return limit
 
 
 @dataclass
@@ -235,7 +248,6 @@ def group_from_elements(
     generators: Sequence,
     mul: Callable,
     identity,
-    max_order: int = DEFAULT_CLOSURE_LIMIT,
     name: str = "",
 ) -> FiniteGroup:
     """Close a generating set under an associative composition callback.
@@ -243,8 +255,9 @@ def group_from_elements(
     Elements are numbered in breadth-first order from the identity.  The
     products x * g the closure computes anyway are kept as integer tables,
     and the callback is not used once the closure is done: inverses come
-    from the tables too.
+    from the tables too.  The closure stops at the engine's order bound.
     """
+    limit = check_order()
     elements = [identity]
     index = {identity: 0}
     gen_elems = []
@@ -258,10 +271,8 @@ def group_from_elements(
             y = mul(x, g)
             y_idx = index.get(y)
             if y_idx is None:
-                if len(elements) >= max_order:
-                    raise SizeLimitError(
-                        f"closure exceeded {max_order} elements"
-                    )
+                if len(elements) >= limit:
+                    check_order(limit + 1, f"at least {limit + 1}")
                 y_idx = index[y] = len(elements)
                 elements.append(y)
                 words.append(words[x_idx] + (t,))
@@ -314,7 +325,6 @@ def _compose_perms(a: tuple, b: tuple) -> tuple:
 
 def group_from_permutations(
     perms: Sequence[Sequence[int]],
-    max_order: int = DEFAULT_CLOSURE_LIMIT,
     name: str = "",
 ) -> FiniteGroup:
     """Group generated by permutations given in image notation (0-based)."""
@@ -333,13 +343,8 @@ def group_from_permutations(
                 or sorted(t) != list(range(degree))):
             raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
         gens.append(t)
-    return group_from_elements(
-        gens,
-        _compose_perms,
-        tuple(range(degree)),
-        max_order=max_order,
-        name=name,
-    )
+    return group_from_elements(gens, _compose_perms, tuple(range(degree)),
+                               name=name)
 
 
 def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
@@ -349,6 +354,7 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
     ):
         raise ValueError("multiplication table must be a list of rows")
     n = len(table)
+    check_order(n)
     if any(len(row) != n for row in table):
         raise ValueError("multiplication table must be square")
     # exact type, so that 1.9, True and "1" are refused, not converted
@@ -406,6 +412,7 @@ def _greedy_generators(group: FiniteGroup) -> list[int]:
 # builtin families
 
 def cyclic_group(n: int) -> FiniteGroup:
+    check_order(n)
     if n < 1:
         raise ValueError("order must be positive")
     if n == 1:
@@ -415,6 +422,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def dihedral_group(order: int) -> FiniteGroup:
+    check_order(order)
     if order % 2 or order < 2:
         raise ValueError("dihedral order must be even and >= 2")
     n = order // 2
@@ -425,7 +433,18 @@ def dihedral_group(order: int) -> FiniteGroup:
     return group_from_permutations([rot, flip], name=f"D{order}")
 
 
+def _check_factorial_order(n: int, halved: bool) -> None:
+    """Refuse S_n (order n!) or, halved, A_n (order n!/2) past the bound,
+    multiplying n! out only as far as the bound."""
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        check_order(order >> halved,
+                    "" if k == n else f"{n}!/2" if halved else f"{n}!")
+
+
 def symmetric_group(n: int) -> FiniteGroup:
+    _check_factorial_order(n, False)
     if n < 2:
         return cyclic_group(1)
     cycle = tuple(list(range(1, n)) + [0])
@@ -434,6 +453,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def alternating_group(n: int) -> FiniteGroup:
+    _check_factorial_order(n, True)
     if n < 3:
         return cyclic_group(1)
     three = tuple([1, 2, 0] + list(range(3, n)))
@@ -716,14 +736,10 @@ def _identity_projections(
 def irreducible_degrees(
     group: FiniteGroup,
     seed: int = 0,
-    order_limit: int = DEFAULT_ORDER_LIMIT,
     max_rounds: int = 64,
 ) -> DegreeMultiset:
-    """Exact irreducible character degree multiset of a finite group."""
-    if group.order > order_limit:
-        raise SizeLimitError(
-            f"group order {group.order} exceeds engine bound {order_limit}"
-        )
+    """Exact irreducible character degree multiset of a finite group.  The
+    group's constructor has already held it to the engine's order bound."""
     if group.order == 1:
         return DegreeMultiset(((1, 1),))
     cc = conjugacy_classes(group)

@@ -48,9 +48,13 @@ class SplitCountTable:
 
 
 def partition_table(max_size: int) -> PartitionTable:
-    """Dynamic program over part sizes (the classic coin-counting DP)."""
+    """Dynamic program over part sizes (the classic coin-counting DP), up
+    to PARTITION_LIMIT."""
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
+    if max_size > PARTITION_LIMIT:
+        raise SizeLimitError(f"pi(0..{max_size}) exceeds the partition bound "
+                             f"{PARTITION_LIMIT}")
     pi = [0] * (max_size + 1)
     pi[0] = 1
     for part in range(1, max_size + 1):

@@ -354,9 +354,13 @@ def _run_capped(argv, timeout=60):
     (["degrees", "--group", "F100003_2"], "200006"),
     (["frobenius", "--p", "100003", "--m", "2"], "200006"),
     (["frobenius", "--p", "10007", "--m", "2"], "20014"),
+    (["solvable", "--p", "401"], "8020"),
+    (["solvable", "--p", "677"], "17602"),
 ])
 def test_group_past_the_order_bound_is_refused_before_it_is_built(argv, order):
+    start = time.perf_counter()
     proc = _run_capped(argv)
+    assert time.perf_counter() - start < 1
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: group order {order} exceeds engine bound 5000\n"

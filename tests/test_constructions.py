@@ -60,16 +60,6 @@ def test_frobenius_rejects_bad_m():
         constructions.build_frobenius(9, 2)
 
 
-def test_extremal_counts():
-    assert constructions.extremal_count(5) == 4
-    assert constructions.extremal_count(17) == 8
-    assert constructions.extremal_count(257) == 32
-    with pytest.raises(ValueError):
-        constructions.extremal_count(7)
-    with pytest.raises(ValueError):
-        constructions.extremal_count(2)
-
-
 def test_find_construction_prime():
     assert constructions.find_construction_prime(5) == 19
     r17 = constructions.find_construction_prime(17)

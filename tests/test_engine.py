@@ -1,6 +1,8 @@
 import math
 import operator
 import random
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -165,19 +167,27 @@ def test_class_limit_guard():
 
 
 def test_order_limit_guard():
-    g = engine.symmetric_group(7)  # order 5040
-    with pytest.raises(SizeLimitError):
-        engine.irreducible_degrees(g)
-    # but an explicit higher limit lets it through
-    degrees = engine.irreducible_degrees(g, order_limit=5100)
-    assert degrees.sum_of_squares() == 5040
-
-
-def test_closure_limit_guard():
-    cycle = tuple(list(range(1, 9)) + [0])
-    swap = (1, 0, 2, 3, 4, 5, 6, 7, 8)
-    with pytest.raises(SizeLimitError):
-        engine.group_from_permutations([cycle, swap], max_order=1000)
+    """Every constructor refuses a group past DEFAULT_ORDER_LIMIT before it
+    builds it: from the order it knows up front, or, for a closure, at the
+    element past the bound."""
+    refused = [
+        lambda: engine.cyclic_group(10**6),
+        lambda: engine.symmetric_group(10**4),
+        lambda: constructions.build_frobenius(100003, 2),
+        lambda: constructions.build_gamma_l(401, 179),  # |A| = 401 * 20
+    ]
+    c12 = engine.cyclic_group(12)
+    with mock.patch.object(engine, "DEFAULT_ORDER_LIMIT", 10):
+        refused += [
+            lambda: engine.group_from_table(_table(c12)),
+            lambda: engine.group_from_permutations(
+                [tuple(range(1, 12)) + (0,)]),
+        ]
+        for build in refused:
+            start = time.perf_counter()
+            with pytest.raises(SizeLimitError, match="engine bound"):
+                build()
+            assert time.perf_counter() - start < 1
 
 
 def test_closure_rejects_a_composition_without_inverses():
@@ -377,13 +387,14 @@ def test_degrees_of_random_permutation_groups(perms):
     """Invariants of the degree multiset on groups of at most 7 points, up
     to S7: sum of squares, one degree per class, the linear characters
     against the derived subgroup, divisibility, and the seed."""
-    g = engine.group_from_permutations([tuple(p) for p in perms])
-    degrees = engine.irreducible_degrees(g, order_limit=5040)
+    with mock.patch.object(engine, "DEFAULT_ORDER_LIMIT", 5040):
+        g = engine.group_from_permutations([tuple(p) for p in perms])
+    degrees = engine.irreducible_degrees(g)
     assert degrees.sum_of_squares() == g.order
     assert len(degrees.degrees) == len(engine.conjugacy_classes(g).reps)
     assert degrees.linear_count() == engine.derived_subgroup_index(g)
     assert all(g.order % d == 0 for d in degrees.degrees)
-    assert engine.irreducible_degrees(g, seed=1, order_limit=5040) == degrees
+    assert engine.irreducible_degrees(g, seed=1) == degrees
 
 
 def _c4_c4_c5():
@@ -523,7 +534,8 @@ def test_classes_match_sympy(perms):
     """Differential oracle: sympy's combinatorics finds the same number of
     conjugacy classes with the same sizes."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    g = engine.group_from_permutations([tuple(p) for p in perms])
+    with mock.patch.object(engine, "DEFAULT_ORDER_LIMIT", 5040):
+        g = engine.group_from_permutations([tuple(p) for p in perms])
     cc = engine.conjugacy_classes(g)
     oracle = combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(p)) for p in perms]

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +77,11 @@ def test_split_count_lower_bound_and_monotonicity():
 def test_naive_guard():
     with pytest.raises(SizeLimitError):
         partitions.split_count_naive(40, 40)
+    # one m-split at m = 1, so only the pi table's own bound refuses this
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="partition bound"):
+        partitions.split_count_naive(1, 10**8)
+    assert time.perf_counter() - start < 1
 
 
 def test_split_table_type():
