@@ -167,9 +167,8 @@ def test_class_limit_guard():
 
 
 def test_order_limit_guard():
-    """Every constructor refuses a group past DEFAULT_ORDER_LIMIT before it
-    builds it: from the order it knows up front, or, for a closure, at the
-    element past the bound."""
+    """Every constructor that knows its order up front refuses a group past
+    DEFAULT_ORDER_LIMIT before it builds it."""
     refused = [
         lambda: engine.cyclic_group(10**6),
         lambda: engine.symmetric_group(10**4),
@@ -180,14 +179,26 @@ def test_order_limit_guard():
     with mock.patch.object(engine, "DEFAULT_ORDER_LIMIT", 10):
         refused += [
             lambda: engine.group_from_table(_table(c12)),
-            lambda: engine.group_from_permutations(
-                [tuple(range(1, 12)) + (0,)]),
         ]
         for build in refused:
             start = time.perf_counter()
             with pytest.raises(SizeLimitError, match="engine bound"):
                 build()
             assert time.perf_counter() - start < 1
+
+
+def test_closure_limit_guard():
+    """The closure refuses S9 (order 362880) at the element past
+    DEFAULT_ORDER_LIMIT, long before it has built the group."""
+    cycle = tuple(list(range(1, 9)) + [0])
+    swap = (1, 0, 2, 3, 4, 5, 6, 7, 8)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="engine bound"):
+        engine.group_from_permutations([cycle, swap])
+    assert time.perf_counter() - start < 1
+    with mock.patch.object(engine, "DEFAULT_ORDER_LIMIT", 10):
+        with pytest.raises(SizeLimitError, match="engine bound"):
+            engine.group_from_permutations([tuple(range(1, 12)) + (0,)])
 
 
 def test_closure_rejects_a_composition_without_inverses():
