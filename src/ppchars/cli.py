@@ -254,16 +254,20 @@ def _cmd_solvable(args) -> Report:
     p = args.p
     r = constructions.find_construction_prime(p) if args.r == "auto" else args.r
     built = constructions.build_gamma_l(p, r)
+    m = built.m
+    order = (r**m) * p * m
+    if args.cross_check:
+        # the engine's refusal of V x| A comes before the one Clifford count
+        engine.check_order(order)
     clifford = constructions.clifford_pprime_count(
         built.action, p, engine_seed=args.seed
     )
-    m = built.m
     expected = 2 * m
     row = {
         "p": p,
         "r": r,
         "m": m,
-        "order": (r**m) * p * m,
+        "order": order,
         "degrees": dict(clifford.degrees.counts),
         "pprime_count": clifford.pprime_count,
         "expected": expected,
@@ -273,7 +277,9 @@ def _cmd_solvable(args) -> Report:
     }
     rows = [row]
     if args.cross_check:
-        rows += constructions.engine_cross_check(built, p, seed=args.seed).rows
+        rows += constructions.engine_cross_check(
+            built, p, seed=args.seed, clifford=clifford
+        ).rows
     return Report("solvable", {"p": p, "r": r, "cross_check": args.cross_check},
                   rows)
 

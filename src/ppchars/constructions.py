@@ -564,12 +564,17 @@ def semidirect_product_permutations(action: LinearGroupAction) -> FiniteGroup:
     return product
 
 
-def engine_cross_check(target, p: int, seed: int = 0) -> Report:
+def engine_cross_check(
+    target, p: int, seed: int = 0, clifford: CliffordCount | None = None
+) -> Report:
     """Degrees of V x| A two ways: Clifford count vs. the degree engine on
-    the explicit permutation group.  Disagreement is a hard failure."""
+    the explicit permutation group.  Disagreement is a hard failure.
+    `clifford` hands over a count of the same action already made; it is
+    counted here otherwise, after the product is built or refused."""
     action = target.action if isinstance(target, GammaLConstruction) else target
     product = semidirect_product_permutations(action)
-    clifford = clifford_pprime_count(action, p, engine_seed=seed)
+    if clifford is None:
+        clifford = clifford_pprime_count(action, p, engine_seed=seed)
     engine_degrees = irreducible_degrees(product, seed=seed)
     if engine_degrees.counts != clifford.degrees.counts:
         raise ConsistencyError(

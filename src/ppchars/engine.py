@@ -46,12 +46,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from collections import Counter
+from itertools import chain
 from operator import add, itemgetter
 from typing import Callable, Sequence
 
 from .errors import ConsistencyError, EngineSplitError, SizeLimitError
 from .landau import is_prime
-from .modlinalg import distinct_roots, krylov_minpoly, mat_vec
+from .modlinalg import distinct_roots, krylov_minpoly, pack, slot_width, unpack
 
 DEFAULT_ORDER_LIMIT = 5000
 DEFAULT_CLASS_LIMIT = 80
@@ -110,14 +111,13 @@ class FiniteGroup:
 
     def right_regular(self, j: int) -> list[int]:
         """The right-regular permutation x -> x * j as an index list: a
-        table column, or |G| lookups per letter of j's word."""
+        table column, or one itemgetter pass per letter of j's word."""
         if self._table is not None:
             return [row[j] for row in self._table]
-        rho = list(range(self.order))
+        rho = range(self.order)
         for t in self._words[j]:
-            right_t = self._right[t]
-            rho = [right_t[x] for x in rho]
-        return rho
+            rho = _compose_perms(self._right[t], rho)
+        return list(rho)
 
     def element_order(self, i: int) -> int:
         k, x = 1, i
@@ -357,10 +357,12 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
     check_order(n)
     if any(len(row) != n for row in table):
         raise ValueError("multiplication table must be square")
-    # exact type, so that 1.9, True and "1" are refused, not converted
-    if any(set(map(type, row)) != {int} for row in table):
+    # exact type, so that 1.9, True and "1" are refused, not converted; the
+    # types come first, since the set of values holds 1 and True as one key
+    if set(map(type, chain.from_iterable(table))) - {int}:
         raise ValueError("table entries must be integers")
-    if any(min(row) < 0 or max(row) >= n for row in table):
+    values = set(chain.from_iterable(table))
+    if values and (min(values) < 0 or max(values) >= n):
         raise ValueError(f"table entries must lie in 0..{n - 1}")
     # Light's test in validate() mostly meets identical int objects: the
     # group-file loader parses each distinct numeral into one shared object.
@@ -589,7 +591,9 @@ def _krylov_split(v: list[int], combo, L: int, rng) -> list[list[int]]:
     With mu the minimal polynomial of v, of degree r, and z one of its r
     roots, q_z = mu / (x - z) kills every eigenspace but z's, so
     y_z = q_z(combo) v is q_z(z) times the projection of v onto z's.  y_z
-    is formed from the stored powers combo^t v.  Since
+    is formed from the stored powers combo^t v, packed (see
+    `modlinalg.pack`): sum_t q_t combo^t v is r multiply-adds with slots
+    below (r + 1) L^2.  Since
     (x - z) q_z = mu - mu(z), combo y_z - z y_z = mu(combo) v - mu(z) v:
     checking mu(combo) v = 0 on the stored powers once, and mu(z) = 0 as
     the remainder of each synthetic division, checks combo y_z = z y_z for
@@ -598,8 +602,16 @@ def _krylov_split(v: list[int], combo, L: int, rng) -> list[list[int]]:
     """
     mu, powers = krylov_minpoly(combo, v, L)
     r = len(mu) - 1
-    columns = list(zip(*powers))  # combo^t v at coordinate j, t = 0..r
-    if any(mat_vec(columns, mu, L)):
+    c = len(v)
+    width = slot_width((r + 1) * L * L)
+    packed = [pack(power, width) for power in powers]
+
+    def applied(poly: list[int]) -> list[int]:
+        """sum_t poly[t] combo^t v mod L, for len(poly) <= r + 1."""
+        combined = sum(t * power for t, power in zip(poly, packed))
+        return [x % L for x in unpack(combined, c, width)]
+
+    if any(applied(mu)):
         raise ConsistencyError("mu(combo) v is not zero for the minimal polynomial")
     roots = distinct_roots(mu, L, rng)
     if len(roots) != r:
@@ -618,7 +630,7 @@ def _krylov_split(v: list[int], combo, L: int, rng) -> list[list[int]]:
         for coef in q:
             q_at_z = (q_at_z * z + coef) % L
         q.reverse()
-        y = mat_vec(columns, q, L)  # q has r terms, so powers 0..r-1
+        y = applied(q)  # q has r terms, so powers 0..r-1
         if not any(y):
             raise ConsistencyError("a projection of a cluster vector vanishes")
         scale = pow(q_at_z, -1, L)

@@ -143,6 +143,26 @@ def test_solvable_subcommand():
     assert report["rows"][0]["ok"] is True
 
 
+@pytest.mark.parametrize("p, code, calls", [("5", 0, 1), ("37", 1, 0)])
+def test_solvable_cross_check_counts_once(monkeypatch, capsys, p, code, calls):
+    """The cross-check compares the report's own Clifford count with the
+    engine; past the engine's order bound it is refused before any count."""
+    from ppchars import constructions
+
+    counted = []
+    count = constructions.clifford_pprime_count
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "clifford_pprime_count", counting)
+    assert main(["solvable", "--p", p, "--cross-check"]) == code
+    assert len(counted) == calls
+    if code:
+        assert "exceeds engine bound" in capsys.readouterr().err
+
+
 def test_csv_format():
     code, out = run_cli(["landau", "--limit", "300", "--format", "csv"])
     lines = out.strip().splitlines()

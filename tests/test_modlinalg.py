@@ -185,6 +185,25 @@ def test_krylov_split_matches_nullspace():
         engine._krylov_split([1, 0], rotation, p, random.Random(0))
 
 
+def test_krylov_split_with_wide_slots():
+    """Over F_p with p = 2^61 - 1 the split's slots are wider than 8 bytes:
+    the pieces are still eigenvectors, one per eigenvalue, summing to v."""
+    rng = random.Random(19)
+    p = 2**61 - 1
+    diag = [3, 3, 5, p - 1, 0, 12345]
+    n = len(diag)
+    a = _conjugate_by_random(
+        [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], p, rng)
+    v = [rng.randrange(p) for _ in range(n)]
+    pieces = engine._krylov_split(v, a, p, random.Random(0))
+    assert len(pieces) == len(set(diag))
+    assert [sum(col) % p for col in zip(*pieces)] == v
+    for y in pieces:
+        ay = ml.mat_vec(a, y, p)
+        z = next(ay[i] * pow(y[i], -1, p) % p for i in range(n) if y[i])
+        assert ay == [z * x % p for x in y] and z in diag
+
+
 def test_row_reduce_depends_only_on_row_space():
     p = 7
     rng = random.Random(3)
@@ -202,3 +221,124 @@ def test_row_reduce_depends_only_on_row_space():
         for row, col in zip(rows, pivots):
             assert row[col] == 1
             assert [other[col] for other in rows].count(0) == len(rows) - 1
+
+
+# ---------------------------------------------------------------------------
+# packed kernels against plain list references
+
+KERNEL_PRIMES = (2, 3, 241, 4561, 45233, 2**61 - 1)  # the last needs 16-byte slots
+
+
+def test_pack_roundtrip_and_overflow():
+    rng = random.Random(23)
+    for width in (8, 9, 16):
+        top = 1 << 8 * width
+        xs = [rng.randrange(top) for _ in range(rng.randrange(0, 40))] + [top - 1]
+        assert list(ml.unpack(ml.pack(xs, width), len(xs), width)) == xs
+        with pytest.raises(ConsistencyError):
+            ml.unpack(ml.pack(xs, width), len(xs) - 1, width)
+        with pytest.raises(ConsistencyError):
+            ml.unpack(-1, len(xs), width)
+    assert ml.slot_width(2**64) == 8
+    assert ml.slot_width(2**64 + 1) == 9
+
+
+def _powmod_reference(base, e, f, p):
+    """Square-and-multiply with schoolbook products and remainders."""
+    result = [1]
+    base = ml.poly_mod(base, f, p)
+    while e:
+        if e & 1:
+            result = ml.poly_mod(ml.poly_mul(result, base, p), f, p)
+        base = ml.poly_mod(ml.poly_mul(base, base, p), f, p)
+        e >>= 1
+    return result
+
+
+def test_poly_powmod_matches_schoolbook():
+    """Both sides of POWMOD_PACKED_DEGREE: small exponents against repeated
+    multiplication, large ones against schoolbook square-and-multiply, on
+    dense, sparse and non-monic moduli and unreduced bases."""
+    rng = random.Random(29)
+    assert 1 < ml.POWMOD_PACKED_DEGREE < 90
+    degrees = (1, 2, 3, 5, 7, 8, 9, 16, 33, 90)
+    for p in KERNEL_PRIMES:
+        for n in degrees:
+            dense = [rng.randrange(p) for _ in range(n)] + [1]
+            sparse = [rng.randrange(1, p)] + [0] * (n - 1) + [1]
+            non_monic = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+            for f in (dense, sparse, non_monic)[:3 if n < 33 else 1]:
+                base = [rng.randrange(-p, 2 * p) for _ in range(rng.randrange(1, 2 * n + 2))]
+                repeated = [1]
+                for e in range(4):
+                    assert ml.poly_powmod(base, e, f, p) == repeated
+                    repeated = ml.poly_mod(ml.poly_mul(repeated, base, p), f, p)
+                for e in (p, rng.randrange(2**16)):
+                    assert ml.poly_powmod(base, e, f, p) == _powmod_reference(base, e, f, p)
+
+
+def _krylov_reference(a, v, p):
+    """The list-based elimination: each power reduced against the earlier
+    echelon rows, with their polynomials carried along."""
+    powers = [[x % p for x in v]]
+    rows = []
+    while True:
+        u = list(powers[-1])
+        expr = [0] * (len(powers) - 1) + [1]
+        for pivot, row, poly in rows:
+            t = u[pivot] % p
+            if t:
+                u = [(x - t * y) % p for x, y in zip(u, row)]
+                expr[:len(poly)] = [(x - t * y) % p for x, y in zip(expr, poly)]
+        pivot = next((i for i, x in enumerate(u) if x), None)
+        if pivot is None:
+            return expr, powers
+        inv = pow(u[pivot], -1, p)
+        rows.append((pivot, [x * inv % p for x in u], [x * inv % p for x in expr]))
+        powers.append([sum(x * y for x, y in zip(r, powers[-1])) % p for r in a])
+
+
+def test_krylov_minpoly_matches_list_elimination():
+    rng = random.Random(31)
+    for p in (7, 4561, 2**61 - 1):
+        for c in (1, 2, 5, 8, 40, 80):
+            k = max(1, c // 3)
+            left = [[rng.randrange(p) for _ in range(k)] for _ in range(c)]
+            right = [[rng.randrange(p) for _ in range(c)] for _ in range(k)]
+            diag = [rng.choice((0, 1, 2, 3)) for _ in range(c)]
+            mats = [
+                [[rng.randrange(p) for _ in range(c)] for _ in range(c)],
+                ml.mat_mul(left, right, p),  # rank at most c / 3
+                [[diag[i] if i == j else 0 for j in range(c)] for i in range(c)],
+                [[rng.randrange(-p, 2 * p) for _ in range(c)] for _ in range(c)],
+            ]
+            for a in mats:
+                v = [rng.randrange(p) for _ in range(c)]
+                for vec in (v, [0] * c, [1] + [0] * (c - 1))[:3 if c < 40 else 2]:
+                    mu, powers = ml.krylov_minpoly(a, vec, p)
+                    assert (mu, powers) == _krylov_reference(a, vec, p)
+                    assert mu[-1] == 1
+
+
+def test_kernels_at_their_slot_bounds():
+    """All residues p - 1, so that the slot sums of a mat-vec and of a
+    polynomial square reach c (p - 1)^2 and n (p - 1)^2: past 8-byte slots
+    at p = 2^31 - 1, past 16-byte ones at p = 2^61 - 1."""
+    c = n = 90
+    for p in (4561, 2**31 - 1, 2**61 - 1):
+        a = [[p - 1] * c for _ in range(c)]
+        for v in ([p - 1] * c, [1] + [0] * (c - 1)):
+            assert ml.krylov_minpoly(a, v, p) == _krylov_reference(a, v, p)
+        base, f = [p - 1] * n, [p - 1] * n + [1]
+        for e in (2, 3, 1000):
+            assert ml.poly_powmod(base, e, f, p) == _powmod_reference(base, e, f, p)
+
+
+def test_distinct_roots_of_eighty_linear_factors():
+    rng = random.Random(37)
+    for p in (241, 45233):
+        roots = sorted(rng.sample(range(p), 80))
+        f = [1]
+        for z in roots:
+            f = ml.poly_mul(f, [(-z) % p, 1], p)
+        assert ml.distinct_roots(f, p, rng) == roots
