@@ -205,26 +205,6 @@ def wreath_irr_count_naive(d: int, a: int) -> int:
 FAMILIES = ("bc", "d", "2d", "a", "2a")
 
 
-@dataclass(frozen=True)
-class ClassicalCase:
-    """One grid point of the classical-family sweep: q = r^f, rank n with
-    n = a*d + s, and a prime p >= 5 for which d is minimal with
-    p | q^d -+ 1 (sign recorded as +-1, per the family convention)."""
-
-    family: str
-    q: int
-    r: int
-    f: int
-    d: int
-    a: int
-    n: int
-    p: int
-    sign: int
-
-    def __post_init__(self):
-        if self.a < 1 or self.n != self.a * self.d + self.n % self.d:
-            raise ValueError(f"inconsistent rank data in {self}")
-
 _FAMILY_CFG = {
     # (n_min, torus convention); _check_point derives the wreath cyclic
     # factor and the rhs gcd from the convention
@@ -243,10 +223,12 @@ def _order_dividing(q: int, p: int, m: int) -> int:
     return next(t for t in range(1, m + 1) if m % t == 0 and pow(q, t, p) == 1)
 
 
-def _eligible_primes(convention: str, q: int, d: int) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=None)
+def _eligible_primes(convention: str, q: int, d: int) -> tuple[tuple[int, int, int], ...]:
     """(p, sign, torus order) for every prime p >= 5 for which d is minimal
-    under the family's torus convention, ascending in p.  Such p divides
-    q^d -+ 1 and so is coprime to q."""
+    under the family's torus convention.  Such p divides q^d -+ 1 and so
+    is coprime to q.  Cached across families: bc, d and 2d share the "pm"
+    convention."""
     minus, plus = q**d - 1, q**d + 1
     eligible = []
     if convention == "pm":
@@ -270,7 +252,7 @@ def _eligible_primes(convention: str, q: int, d: int) -> list[tuple[int, int, in
             if all(pow(q, dd, p) != (1 if dd % 2 == 0 else p - 1)
                    for dd in range(1, d)):
                 eligible.append((p, sign, torus))
-    return eligible
+    return tuple(eligible)
 
 
 @lru_cache(maxsize=None)
@@ -309,17 +291,14 @@ def classical_inequality_check(
     for r, f, q in prime_powers(q_max):
         if f > f_max:
             continue
-        eligible: dict[int, list[tuple[int, int, int]]] = {}  # d -> primes
         for n in range(n_min, rank_max + 1):
             for d in range(1, n + 1):
                 a = n // d
                 if a < 2:
                     continue
-                if d not in eligible:
-                    eligible[d] = _eligible_primes(convention, q, d)
                 checked = _check_point(
                     family, convention, halved, r, f, q, n, d, a,
-                    eligible[d], rows,
+                    _eligible_primes(convention, q, d), rows,
                 )
                 if checked == "no_p":
                     skipped_no_p += 1
@@ -344,47 +323,52 @@ def classical_inequality_check(
 
 
 def _check_point(family, convention, halved, r, f, q, n, d, a, eligible, rows) -> str:
+    """Append one row per eligible p > a at the grid point (q = r^f, n, d,
+    a); everything but p and the torus sign is shared by its rows."""
+    if a < 1 or n != a * d + n % d:
+        raise ValueError(f"inconsistent rank data: {family} q={q} n={n} d={d} a={a}")
     if not eligible:
         return "no_p"
-    found = False
-    for p, sign, torus in eligible:
-        if p <= a:  # non-abelian Sylow branch, different argument applies
-            continue
-        found = True
-
-        case = ClassicalCase(family=family, q=q, r=r, f=f, d=d, a=a, n=n,
-                             p=p, sign=sign)
-        wreath_factor = 2 * d if convention == "pm" else d
-        full_count = wreath_irr_count(wreath_factor, a)
-        count = full_count // 2 if halved else full_count
-        denom = wreath_factor**a * math.factorial(a)
-        gcd_factor = (
-            math.gcd(2, q - 1)
-            if convention == "pm"
-            else math.gcd(n, q - 1)
-            if convention == "linear"
-            else math.gcd(n, q + 1)
-        )
-        lhs_num = count * denom + torus**a
-        rhs_factor = 2 * f * gcd_factor * denom
-        ok = lhs_num * lhs_num > rhs_factor * rhs_factor * (p - 1)
-        row = dict(
-            vars(case),
-            wreath_count=count,
-            lhs_numerator=lhs_num,
-            lhs_denominator=denom,
-            rhs_squared_num=rhs_factor * rhs_factor * (p - 1),
-            ok=ok,
-        )
+    # p <= a is the non-abelian Sylow branch, where a different argument applies
+    abelian = [e for e in eligible if e[0] > a]
+    if not abelian:
+        return "nonabelian"
+    wreath_factor = 2 * d if convention == "pm" else d
+    full_count = wreath_irr_count(wreath_factor, a)
+    count = full_count // 2 if halved else full_count
+    denom = wreath_factor**a * math.factorial(a)
+    gcd_factor = (
+        math.gcd(2, q - 1)
+        if convention == "pm"
+        else math.gcd(n, q - 1)
+        if convention == "linear"
+        else math.gcd(n, q + 1)
+    )
+    rhs_factor_sq = (2 * f * gcd_factor * denom) ** 2
+    wreath_num = count * denom
+    torus_powers: dict[int, int] = {}
+    for p, sign, torus in abelian:
+        torus_power = torus_powers.get(torus)
+        if torus_power is None:
+            torus_power = torus_powers[torus] = torus**a
+        lhs_num = wreath_num + torus_power
+        rhs_sq = rhs_factor_sq * (p - 1)
+        row = {
+            "family": family, "q": q, "r": r, "f": f, "d": d, "a": a, "n": n,
+            "p": p, "sign": sign,
+            "wreath_count": count,
+            "lhs_numerator": lhs_num,
+            "lhs_denominator": denom,
+            "rhs_squared_num": rhs_sq,
+            "ok": lhs_num * lhs_num > rhs_sq,
+        }
         if halved:
-            full_lhs = full_count * denom + torus**a
+            full_lhs = full_count * denom + torus_power
             row["wreath_count_full"] = full_count
-            row["ok_full_weyl"] = (
-                full_lhs * full_lhs > rhs_factor * rhs_factor * (p - 1)
-            )
+            row["ok_full_weyl"] = full_lhs * full_lhs > rhs_sq
             row["weyl_halving_note"] = "index-2 subgroup possible"
         rows.append(row)
-    return "checked" if found else "nonabelian"
+    return "checked"
 
 
 # ---------------------------------------------------------------------------

@@ -70,38 +70,56 @@ def _validate_shape(parts) -> Shape:
     return shape
 
 
+def _conjugate(shape: Shape) -> Shape:
+    """Column lengths of a valid shape, in one walk up its rows: the
+    columns past row i + 1's length and within row i's have length i + 1."""
+    cols: list[int] = []
+    below = 0
+    for i in range(len(shape) - 1, -1, -1):
+        cols += [i + 1] * (shape[i] - below)
+        below = shape[i]
+    return tuple(cols)
+
+
+def _hook_product(shape: Shape) -> int:
+    """Product of the hook lengths of a valid shape.  The hook of cell
+    (i, j) is (row_i - i - 1) + (col_j - j); the second term is shared by
+    every row, so each row's hooks are one shifted slice of it."""
+    shifted = [c - j for j, c in enumerate(_conjugate(shape))]
+    hooks = 1
+    for i, row in enumerate(shape):
+        hooks *= math.prod(map((row - i - 1).__add__, shifted[:row]))
+    return hooks
+
+
+def _degree(shape: Shape, n_factorial: int) -> int:
+    """n! over the hook product; the division must be exact, and anything
+    else is a bug."""
+    degree, rem = divmod(n_factorial, _hook_product(shape))
+    if rem:
+        raise ConsistencyError(
+            f"hook product does not divide {sum(shape)}! for {shape}"
+        )
+    return degree
+
+
 def conjugate_shape(parts) -> Shape:
-    shape = _validate_shape(parts)
-    if not shape:
-        return ()
-    return tuple(
-        sum(1 for row in shape if row > i) for i in range(shape[0])
-    )
+    return _conjugate(_validate_shape(parts))
 
 
 def hook_degree(parts) -> int:
     """Character degree of S_n for the given shape: n! over the product of
-    hook lengths.  The division must be exact; anything else is a bug."""
+    hook lengths."""
     shape = _validate_shape(parts)
-    n = sum(shape)
-    if n == 0:
-        return 1
-    conj = conjugate_shape(shape)
-    hooks = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            hooks *= (row - j) + (conj[j] - i) - 1
-    degree, rem = divmod(math.factorial(n), hooks)
-    if rem:
-        raise ConsistencyError(f"hook product does not divide {n}! for {shape}")
-    return degree
+    return _degree(shape, math.factorial(sum(shape)))
 
 
 @lru_cache(maxsize=64)
 def symmetric_degrees(n: int) -> tuple[tuple[Shape, int], ...]:
     """(shape, degree) for every irreducible character of S_n."""
+    n_factorial = math.factorial(n)
     return tuple(
-        (shape, hook_degree(shape))
+        (shape, _degree(shape, n_factorial))
         for shape in partitions.enumerate_partitions(n)
     )
 
@@ -125,7 +143,7 @@ def alternating_degrees(n: int) -> tuple[int, ...]:
     for shape, d in symmetric_degrees(n):
         if shape in seen:
             continue
-        conj = conjugate_shape(shape)
+        conj = _conjugate(shape)
         if conj == shape:
             half, rem = divmod(d, 2)
             if rem:

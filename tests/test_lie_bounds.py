@@ -1,5 +1,4 @@
 import math
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -149,7 +148,7 @@ def test_e8_check():
 def _reference_classical_rows(family, q_max, rank_max, f_max=lie_bounds.DEFAULT_F_MAX):
     """Reference for the classical sweep: every grid point factorizes its
     own torus orders, takes each order through multiplicative_order, counts
-    the wreath characters afresh and copies the case with asdict."""
+    the wreath characters afresh and builds each row on its own."""
     n_min, convention = lie_bounds._FAMILY_CFG[family]
     halved = family in ("d", "2d")
     rows, no_p, nonabelian = [], 0, 0
@@ -189,9 +188,6 @@ def _reference_classical_rows(family, q_max, rank_max, f_max=lie_bounds.DEFAULT_
                     if p <= a:
                         continue
                     found = True
-                    case = lie_bounds.ClassicalCase(
-                        family=family, q=q, r=r, f=f, d=d, a=a, n=n, p=p,
-                        sign=sign)
                     factor = 2 * d if convention == "pm" else d
                     full_count = split_count(factor, a)
                     count = full_count // 2 if halved else full_count
@@ -200,9 +196,11 @@ def _reference_classical_rows(family, q_max, rank_max, f_max=lie_bounds.DEFAULT_
                                  q + 1 if convention == "unitary" else q - 1)
                     lhs = count * denom + torus**a
                     rhs2 = (2 * f * g * denom) ** 2 * (p - 1)
-                    row = dict(asdict(case), wreath_count=count,
-                               lhs_numerator=lhs, lhs_denominator=denom,
-                               rhs_squared_num=rhs2, ok=lhs * lhs > rhs2)
+                    row = {"family": family, "q": q, "r": r, "f": f, "d": d,
+                           "a": a, "n": n, "p": p, "sign": sign,
+                           "wreath_count": count, "lhs_numerator": lhs,
+                           "lhs_denominator": denom, "rhs_squared_num": rhs2,
+                           "ok": lhs * lhs > rhs2}
                     if halved:
                         full_lhs = full_count * denom + torus**a
                         row["wreath_count_full"] = full_count
@@ -253,3 +251,20 @@ def test_order_from_divisors_matches_multiplicative_order(case):
     q, d, p = case
     assert (q ** (2 * d) - 1) % p == 0
     assert lie_bounds._order_dividing(q, p, 2 * d) == multiplicative_order(q, p)
+
+
+def test_classical_sweep_independent_of_family_order():
+    # bc, d and 2d share the cached "pm" eligible primes; a family's rows
+    # and counters must not depend on which families filled the cache
+    def sweep(order):
+        reports = {f: lie_bounds.classical_inequality_check(f, q_max=64)
+                   for f in order}
+        return {f: (r.rows, r.counters) for f, r in reports.items()}
+
+    order = ("a", "2a", "bc", "d", "2d")
+    lie_bounds._eligible_primes.cache_clear()
+    forward = sweep(order)
+    lie_bounds._eligible_primes.cache_clear()
+    backward = sweep(order[::-1])
+    assert forward == backward
+    assert all(rows for rows, _ in forward.values())

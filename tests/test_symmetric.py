@@ -128,3 +128,53 @@ def test_verify_bounds_macdonald_values():
     values = {(row["n"], row["p"]): row["formula"] for row in report.rows}
     assert values[(13, 13)] == 13
     assert values[(14, 13)] == 13
+
+
+def _cellwise_conjugate(shape):
+    return tuple(sum(1 for row in shape if row > i)
+                 for i in range(shape[0] if shape else 0))
+
+
+def _cellwise_degree(shape):
+    n = sum(shape)
+    conj = _cellwise_conjugate(shape)
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= (row - j) + (conj[j] - i) - 1
+    degree, rem = divmod(math.factorial(n), hooks)
+    assert rem == 0
+    return degree
+
+
+def _cellwise_alternating_degrees(n):
+    degrees, seen = [], set()
+    for shape in enumerate_partitions(n):
+        if shape in seen:
+            continue
+        conj = _cellwise_conjugate(shape)
+        d = _cellwise_degree(shape)
+        if conj == shape:
+            degrees += [d // 2, d // 2]
+        else:
+            seen.add(conj)
+            degrees.append(d)
+        seen.add(shape)
+    return tuple(sorted(degrees))
+
+
+def test_symmetric_degrees_match_cellwise_reference():
+    """The one-walk conjugate and row-sliced hook product against the
+    per-cell hook formula, up to the oracle bound."""
+    for n in [*range(0, 23), symmetric.ORACLE_BOUND]:
+        expected = tuple((shape, _cellwise_degree(shape))
+                         for shape in enumerate_partitions(n))
+        assert symmetric.symmetric_degrees(n) == expected, n
+    for n in range(0, 16):
+        for shape in enumerate_partitions(n):
+            conj = symmetric.conjugate_shape(shape)
+            assert conj == _cellwise_conjugate(shape)
+            assert symmetric.conjugate_shape(conj) == shape
+            assert symmetric.hook_degree(shape) == _cellwise_degree(shape)
+    for n in range(5, 13):
+        assert symmetric.alternating_degrees(n) == _cellwise_alternating_degrees(n)
