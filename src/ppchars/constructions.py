@@ -33,10 +33,10 @@ from .engine import (
     DegreeMultiset,
     FiniteGroup,
     _generator_conjugations,
+    _greedy_generators,
     check_order,
     group_from_elements,
     group_from_permutations,
-    group_from_table,
     irreducible_degrees,
 )
 from .errors import ConsistencyError, SearchExhaustedError
@@ -159,21 +159,6 @@ class LinearGroupAction:
                     raise ConsistencyError("matrices do not define a homomorphism")
 
 
-def frobenius_action(p: int, m: int) -> LinearGroupAction:
-    """The complement C_m of H(p, m) acting on V = Z/p by multiplication."""
-    a = _order_m_element(p, m)
-
-    def mul(x, y):
-        return ml.mat_mul(x, y, p)
-
-    group = group_from_elements(
-        [((a % p,),)], mul, ml.mat_identity(1), name=f"C{m} on Z/{p}"
-    )
-    if group.order != m:
-        raise ConsistencyError("complement closure has wrong order")
-    return LinearGroupAction(p, 1, group, tuple(group.elements))
-
-
 @dataclass(frozen=True)
 class GammaLConstruction:
     """A = <multiplication by zeta, Frobenius x -> x^r> inside GL_m(F_r),
@@ -224,6 +209,9 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
       for every 0 < i < p;
     * the Frobenius map normalizes P, centralizes none of P \\ {1}, and
       C_A(P) = P.
+
+    A itself is closed by index arithmetic on its normal form, with no
+    matrix product in the closure (`_normal_form_group`).
     """
     if not is_prime(p) or not is_perfect_square(p - 1) or p < 5:
         raise ValueError(f"{p} is not a Landau prime >= 5")
@@ -264,18 +252,13 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
         [_padded(ml.poly_powmod(b, r, modulus, r), m) for b in basis]
     )
 
-    def mul(x, y):
-        return ml.mat_mul(x, y, r)
-
-    group = group_from_elements(
-        [mult_matrix, frob_matrix], mul, ml.mat_identity(m),
+    zeta_powers = _matrix_powers(mult_matrix, p, r)
+    frob_powers = _matrix_powers(frob_matrix, m, r)
+    group = _normal_form_group(
+        p, r, zeta_powers, frob_powers,
         name=f"GammaL1({r}^{m}) order {p}*{m}",
     )
-    if group.order != p * m:
-        raise ConsistencyError(
-            f"A has order {group.order}, expected {p * m}"
-        )
-    _verify_gamma_l_invariants(p, r, mult_matrix, frob_matrix, group)
+    _verify_gamma_l_invariants(p, r, zeta_powers, frob_powers)
     return GammaLConstruction(
         p=p, m=m, r=r, modulus=tuple(modulus),
         mult_matrix=mult_matrix, frobenius_matrix=frob_matrix,
@@ -283,16 +266,62 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
     )
 
 
-def _verify_gamma_l_invariants(p, r, mult_matrix, frob_matrix, group) -> None:
+def _matrix_powers(mat: ml.Matrix, n: int, r: int) -> list[ml.Matrix]:
+    """M^0, ..., M^(n-1), after checking that M^n = I."""
+    powers = [ml.mat_identity(len(mat))]
+    for _ in range(n):
+        powers.append(ml.mat_mul(powers[-1], mat, r))
+    if powers.pop() != powers[0]:
+        raise ConsistencyError(f"a generator of A does not have order dividing {n}")
+    return powers
+
+
+def _normal_form_group(p, r, zeta_powers, frob_powers, name="") -> FiniteGroup:
+    """A = <zeta, phi> closed over its normal form zeta^i phi^j, labeled by
+    the matrices Z^i F^j.
+
+    phi zeta phi^-1 = zeta^r gives phi^j zeta^k = zeta^(r^j k) phi^j, so
+    the pairs (i, j) multiply as (i + r^j k mod p, j + l mod m); j is read
+    mod m because ord_p(r) = m.  The pair closure's left-nucleus check
+    proves this law is a group law, with no matrix product.  The pm
+    matrices are then formed from the p powers of Z and the m powers of F
+    and must be distinct, so that the pairs label A one to one; that their
+    products follow the law is what LinearGroupAction.validate checks.
+    Elements, words and right tables come in the BFS order that closing
+    the matrices Z, F themselves would give.
+    """
+    m = len(frob_powers)
+    twist = [pow(r, j, p) for j in range(m)]
+
+    def mul(x, y):
+        return (x[0] + twist[x[1]] * y[0]) % p, (x[1] + y[1]) % m
+
+    pairs = group_from_elements([(1, 0), (0, 1)], mul, (0, 0), name=name)
+    if pairs.order != p * m:
+        raise ConsistencyError(f"A has order {pairs.order}, expected {p * m}")
+    pairs.validate()
+    matrices = [ml.mat_mul(zeta_powers[i], frob_powers[j], r)
+                for i, j in pairs.elements]
+    index = {mat: t for t, mat in enumerate(matrices)}
+    if len(index) != len(matrices):
+        raise ConsistencyError("the normal forms Z^i F^j are not distinct")
+    return FiniteGroup(
+        elements=matrices, index=index, identity=pairs.identity,
+        inverse=pairs.inverse, generators=pairs.generators, name=name,
+        _right=pairs._right, _words=pairs._words,
+    )
+
+
+def _verify_gamma_l_invariants(p, r, zeta_powers, frob_powers) -> None:
+    identity, mult_matrix = zeta_powers[0], zeta_powers[1]
+    frob_matrix = frob_powers[1]
     dim = len(mult_matrix)
-    identity = ml.mat_identity(dim)
     frob_inv = ml.mat_inv(frob_matrix, r)
     conj = ml.mat_mul(ml.mat_mul(frob_matrix, mult_matrix, r), frob_inv, r)
 
     # one walk over zeta^1 .. zeta^(p-1)
-    power = identity
     for i in range(1, p):
-        power = ml.mat_mul(power, mult_matrix, r)
+        power = zeta_powers[i]
         # P acts fixed point freely on nonzero vectors
         shifted = [
             [(power[a][b] - identity[a][b]) % r for b in range(dim)]
@@ -307,11 +336,12 @@ def _verify_gamma_l_invariants(p, r, mult_matrix, frob_matrix, group) -> None:
         if i == r % p and conj != power:
             raise ConsistencyError("Frobenius does not conjugate zeta to zeta^r")
 
-    # C_A(P) = P: elements commuting with zeta are exactly the p powers
-    centralizer = sum(
+    # C_A(P) = P: zeta^i F^j commutes with zeta exactly when F^j does, so
+    # the centralizer holds p elements per such power F^j
+    centralizer = p * sum(
         1
-        for e in group.elements
-        if ml.mat_mul(e, mult_matrix, r) == ml.mat_mul(mult_matrix, e, r)
+        for f in frob_powers
+        if ml.mat_mul(f, mult_matrix, r) == ml.mat_mul(mult_matrix, f, r)
     )
     if centralizer != p:
         raise ConsistencyError(f"|C_A(P)| = {centralizer}, expected {p}")
@@ -517,20 +547,16 @@ def _conjugates(conjugations: list[list[int]],
 
 
 def _subgroup_from_indices(group: FiniteGroup, indices: list[int]) -> FiniteGroup:
-    """The subgroup on the given (already closed) element indices, as a
-    standalone group over a relabeled multiplication table.  Works for any
-    backing representation, faithful matrices or not."""
-    pos = {g: t for t, g in enumerate(indices)}
-    table = []
-    for g in indices:
-        row = []
-        for h in indices:
-            prod = group.mul(g, h)
-            if prod not in pos:
-                raise ConsistencyError("inertia index set is not closed")
-            row.append(pos[prod])
-        table.append(row)
-    return group_from_table(table)
+    """The subgroup on the given element indices, closed from a greedy
+    generating set S over the parent's product: its elements are parent
+    indices, and the closure costs |I| * |S| parent products.  An index
+    set that is not closed generates more than itself and is refused.
+    Works for any backing representation, faithful matrices or not."""
+    gens = _greedy_generators(group, indices)
+    subgroup = group_from_elements(gens, group.mul, group.identity)
+    if subgroup.order != len(set(indices)):
+        raise ConsistencyError("inertia index set is not closed")
+    return subgroup
 
 
 def semidirect_product_permutations(action: LinearGroupAction) -> FiniteGroup:

@@ -397,13 +397,16 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
     return group
 
 
-def _greedy_generators(group: FiniteGroup) -> list[int]:
-    """A small generating set: each element not yet generated is added.
-    Every new generator at least doubles the subgroup, so there are at most
-    log2 |G| of them."""
+def _greedy_generators(
+    group: FiniteGroup, candidates: Sequence[int] | None = None
+) -> list[int]:
+    """A small generating set of the subgroup generated by `candidates`
+    (all of the group by default): each candidate not yet generated is
+    added.  Every new generator at least doubles the subgroup, so there are
+    at most log2 |G| of them."""
     gens: list[int] = []
     members = {group.identity}
-    for x in range(group.order):
+    for x in range(group.order) if candidates is None else candidates:
         if x not in members:
             gens.append(x)
             members = subgroup_closure(group, gens)

@@ -73,8 +73,7 @@ def mat_identity(n: int) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
     cols = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
-        for row in a
+        tuple(sum(map(mul, row, col)) % p for col in cols) for row in a
     )
 
 

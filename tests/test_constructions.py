@@ -12,6 +12,18 @@ from ppchars.cli import main
 from ppchars.errors import ConsistencyError, SearchExhaustedError
 
 
+def _frobenius_action(p, m):
+    """The complement C_m of H(p, m) acting on V = Z/p by multiplication,
+    closed as 1 x 1 matrices."""
+    a = constructions._order_m_element(p, m)
+    group = engine.group_from_elements(
+        [((a % p,),)], lambda x, y: ml.mat_mul(x, y, p), ml.mat_identity(1),
+        name=f"C{m} on Z/{p}",
+    )
+    assert group.order == m
+    return constructions.LinearGroupAction(p, 1, group, tuple(group.elements))
+
+
 def _run_cli(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -114,6 +126,105 @@ def test_build_gamma_l_5_19():
     assert frob2 == ml.mat_identity(2)
 
 
+@pytest.mark.parametrize("p, r", [(5, 19), (17, 13), (37, 11)])
+def test_normal_form_closure_matches_matrix_closure(p, r):
+    """Closing the pairs (i, j) = zeta^i phi^j gives the group that closing
+    the matrices Z, F by products gives: the same elements in the same
+    order, the same right tables, words and inverses."""
+    built = constructions.build_gamma_l(p, r)
+    by_matrices = engine.group_from_elements(
+        [built.mult_matrix, built.frobenius_matrix],
+        lambda x, y: ml.mat_mul(x, y, r), ml.mat_identity(built.m),
+    )
+    group = built.action.group
+    assert group.elements == by_matrices.elements
+    assert group.index == by_matrices.index
+    assert group.generators == by_matrices.generators == [1, 2]
+    assert group._right == by_matrices._right
+    assert group._words == by_matrices._words
+    assert group.inverse == by_matrices.inverse
+    assert built.action.matrices == tuple(group.elements)
+
+
+def test_normal_form_refuses_repeated_matrices():
+    """If F is not the Frobenius map but the identity, the pairs still form
+    a group of order pm, but only p of the matrices Z^i F^j are distinct."""
+    built = constructions.build_gamma_l(5, 19)
+    zeta_powers = constructions._matrix_powers(built.mult_matrix, 5, 19)
+    identity = ml.mat_identity(2)
+    with pytest.raises(ConsistencyError, match="not distinct"):
+        constructions._normal_form_group(5, 19, zeta_powers, [identity, identity])
+    with pytest.raises(ConsistencyError, match="order dividing"):
+        constructions._matrix_powers(built.mult_matrix, 4, 19)
+
+
+@pytest.mark.parametrize("p, r", [(5, 19), (17, 13)])
+def test_gamma_l_centralizer_counts_frobenius_powers(p, r):
+    """C_A(P) is read off the powers F^j.  Listed twice over, as for a
+    complement C_2m whose factor phi^m acts trivially, the centralizer has
+    2p elements and is refused."""
+    built = constructions.build_gamma_l(p, r)
+    zeta_powers = constructions._matrix_powers(built.mult_matrix, p, r)
+    frob_powers = constructions._matrix_powers(built.frobenius_matrix, built.m, r)
+    constructions._verify_gamma_l_invariants(p, r, zeta_powers, frob_powers)
+    with pytest.raises(ConsistencyError, match=f"= {2 * p}, expected {p}"):
+        constructions._verify_gamma_l_invariants(
+            p, r, zeta_powers, frob_powers * 2)
+
+
+def _table_subgroup(group, indices):
+    """The subgroup on closed indices as a relabeled |I| x |I| table,
+    checked by Light's test: a reference that shares no closure code."""
+    pos = {g: t for t, g in enumerate(indices)}
+    table = [[pos[group.mul(g, h)] for h in indices] for g in indices]
+    return engine.group_from_table(table)
+
+
+@pytest.mark.parametrize("p, r", [(5, 19), (5, 199), (17, 13), (37, None)])
+def test_inertia_subgroups_match_table_route(p, r, monkeypatch):
+    """Every inertia subgroup the Clifford count meets, closed over the
+    parent from greedy generators, against the table route: same order,
+    same degrees, and products that are the parent's after relabeling."""
+    if r is None:
+        r = constructions.find_construction_prime(p)
+    action = constructions.build_gamma_l(p, r).action
+    group = action.group
+    closed = constructions._subgroup_from_indices
+    met = []
+
+    def recording(parent, indices):
+        met.append(list(indices))
+        return closed(parent, indices)
+
+    monkeypatch.setattr(constructions, "_subgroup_from_indices", recording)
+    constructions.clifford_pprime_count(action, p)
+    # the zero functional's inertia subgroup is all of A
+    assert len(met) >= 3 and any(len(i) == group.order for i in met)
+    for indices in met:
+        subgroup = closed(group, indices)
+        reference = _table_subgroup(group, indices)
+        assert subgroup.order == reference.order == len(indices)
+        assert sorted(subgroup.elements) == indices
+        assert engine.irreducible_degrees(subgroup) == \
+            engine.irreducible_degrees(reference)
+        elements = subgroup.elements
+        for a in range(subgroup.order):
+            for b in range(subgroup.order):
+                assert elements[subgroup.mul(a, b)] == \
+                    group.mul(elements[a], elements[b])
+
+
+def test_inertia_index_set_must_be_closed():
+    group = constructions.build_gamma_l(5, 19).action.group
+    zeta, phi = group.generators
+    subgroup_p = sorted(engine.subgroup_closure(group, [zeta]))
+    for indices in ([group.identity, zeta], [zeta], subgroup_p + [phi],
+                    [x for x in range(group.order) if x != zeta]):
+        with pytest.raises(ConsistencyError, match="not closed"):
+            constructions._subgroup_from_indices(group, indices)
+    assert constructions._subgroup_from_indices(group, subgroup_p).order == 5
+
+
 def test_clifford_gamma_l_5_19():
     built = constructions.build_gamma_l(5, 19)
     result = constructions.clifford_pprime_count(built.action, 5)
@@ -137,10 +248,10 @@ def test_clifford_trivial_action():
 
 
 def test_clifford_frobenius_paths():
-    action = constructions.frobenius_action(5, 2)
+    action = _frobenius_action(5, 2)
     assert constructions.clifford_pprime_count(action, 5).degrees.degrees == \
         (1, 1, 2, 2)
-    action = constructions.frobenius_action(17, 4)
+    action = _frobenius_action(17, 4)
     assert constructions.clifford_pprime_count(action, 17).degrees.degrees == \
         (1, 1, 1, 1, 4, 4, 4, 4)
 
@@ -191,8 +302,8 @@ def _trivial_action():
     (lambda: constructions.build_gamma_l(5, 199).action, 5),
     (lambda: constructions.build_gamma_l(
         17, constructions.find_construction_prime(17)).action, 17),
-    (lambda: constructions.frobenius_action(5, 2), 5),
-    (lambda: constructions.frobenius_action(17, 4), 17),
+    (lambda: _frobenius_action(5, 2), 5),
+    (lambda: _frobenius_action(17, 4), 17),
     (_trivial_action, 5),
 ], ids=["gamma_5_19", "gamma_5_199", "gamma_17", "frobenius_5_2",
         "frobenius_17_4", "trivial"])
@@ -227,6 +338,18 @@ def test_solvable_witness_p101():
     assert row["sum_of_squares"] == row["order"] == 17**10 * 1010
 
 
+def test_solvable_witness_p197():
+    # 19^14 functionals; the values were recorded before A was closed by
+    # index arithmetic
+    code, report = _run_cli(["solvable", "--p", "197"])
+    row = report["rows"][0]
+    assert code == 0 and row["r"] == 19
+    assert row["order"] == row["sum_of_squares"] == 2203660439389194405718
+    assert row["pprime_count"] == row["expected"] == 28
+    assert row["degrees"] == {"1": 14, "14": 14, "197": 252, "394": 1197,
+                              "1379": 255391920, "2758": 289705043397420}
+
+
 def test_action_validation_rejects_wrong_characteristic():
     c2 = engine.cyclic_group(2)
     action = constructions.LinearGroupAction(2, 1, c2, (((1,),), ((1,),)))
@@ -247,15 +370,15 @@ def test_action_validation_rejects_non_homomorphism():
 
 
 def test_engine_cross_check_frobenius():
-    action = constructions.frobenius_action(5, 2)
+    action = _frobenius_action(5, 2)
     report = constructions.engine_cross_check(action, 5)
     assert report.status == "pass"
-    report = constructions.engine_cross_check(constructions.frobenius_action(17, 4), 17)
+    report = constructions.engine_cross_check(_frobenius_action(17, 4), 17)
     assert report.status == "pass"
 
 
 def test_semidirect_order():
-    action = constructions.frobenius_action(5, 2)
+    action = _frobenius_action(5, 2)
     product = constructions.semidirect_product_permutations(action)
     assert product.order == 10
 

@@ -21,6 +21,26 @@ def test_mat_inverse_roundtrip():
         assert ml.mat_mul(a, inv, P) == ml.mat_identity(n)
 
 
+def test_mat_mul_matches_triple_loop():
+    """Row-by-column products against the entry-by-entry definition, on
+    rectangular shapes and primes up to 2^61 - 1; the rows are tuples."""
+    rng = random.Random(11)
+    for p in (2, 19, 101, 65537, 2**31 - 1, 2**61 - 1):
+        for rows, inner, cols in ((1, 1, 1), (2, 2, 2), (3, 5, 2), (4, 4, 4),
+                                  (14, 14, 14), (16, 16, 16)):
+            a = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
+            expected = [[0] * cols for _ in range(rows)]
+            for i in range(rows):
+                for j in range(cols):
+                    for k in range(inner):
+                        expected[i][j] += a[i][k] * b[k][j]
+                    expected[i][j] %= p
+            product = ml.mat_mul(a, b, p)
+            assert product == tuple(map(tuple, expected))
+            assert all(type(row) is tuple for row in product)
+
+
 def test_mat_inv_singular():
     with pytest.raises(ValueError):
         ml.mat_inv([[1, 2], [2, 4]], P)
