@@ -174,7 +174,8 @@ class _SharedInts(dict):
 
 def _group_from_descriptor(descriptor: str) -> engine.FiniteGroup:
     kind = descriptor[:1].upper()
-    if kind in "CDSA" and descriptor[1:].isdigit():
+    # isdecimal, not isdigit: int() refuses digits such as "²"
+    if kind in "CDSA" and descriptor[1:].isdecimal():
         return {
             "C": engine.cyclic_group,
             "D": engine.dihedral_group,
@@ -183,6 +184,10 @@ def _group_from_descriptor(descriptor: str) -> engine.FiniteGroup:
         }[kind](int(descriptor[1:]))
     if kind == "F" and "_" in descriptor:
         p_str, m_str = descriptor[1:].split("_", 1)
+        if not (p_str.isdecimal() and m_str.isdecimal()):
+            raise UsageError(
+                f"malformed group descriptor {descriptor!r}: expected F<p>_<m>"
+            )
         group, _ = constructions.build_frobenius(int(p_str), int(m_str))
         return group
     with open(descriptor, encoding="utf-8") as fh:

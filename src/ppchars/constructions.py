@@ -219,13 +219,15 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
         raise ValueError(f"{r} is not prime")
     m = math.isqrt(p - 1)
     check_order(p * m)  # |A|, before any field or matrix is built
-    if multiplicative_order(r, p) != m:
-        raise ValueError(
-            f"ord_{p}({r}) = {multiplicative_order(r, p)} != {m}; "
-            "construction needs ord_p(r) = sqrt(p-1)"
-        )
+    # coprimality first: ord_p(r) is undefined at r = p
     if math.gcd(r, p * m) != 1:
         raise ValueError("r must be coprime to p*m for the coprime action")
+    order = multiplicative_order(r, p)
+    if order != m:
+        raise ValueError(
+            f"ord_{p}({r}) = {order} != {m}; "
+            "construction needs ord_p(r) = sqrt(p-1)"
+        )
     q = r**m
     if (q - 1) % p:
         raise ConsistencyError("p does not divide r^m - 1")
@@ -302,11 +304,10 @@ def _normal_form_group(p, r, zeta_powers, frob_powers, name="") -> FiniteGroup:
     pairs.validate()
     matrices = [ml.mat_mul(zeta_powers[i], frob_powers[j], r)
                 for i, j in pairs.elements]
-    index = {mat: t for t, mat in enumerate(matrices)}
-    if len(index) != len(matrices):
+    if len(set(matrices)) != len(matrices):
         raise ConsistencyError("the normal forms Z^i F^j are not distinct")
     return FiniteGroup(
-        elements=matrices, index=index, identity=pairs.identity,
+        elements=matrices, identity=pairs.identity,
         inverse=pairs.inverse, generators=pairs.generators, name=name,
         _right=pairs._right, _words=pairs._words,
     )

@@ -84,11 +84,11 @@ class FiniteGroup:
     right-multiplication tables `_right[t][x] = index(x * generators[t])`.
     `_words[j]` lists the positions t in `generators`, left to right, of
     the generators whose product is j: its path in the breadth-first tree
-    of the closure.
+    of the closure.  No element-to-index map is kept; a caller that needs
+    one builds it from `elements`.
     """
 
     elements: list
-    index: dict
     identity: int
     inverse: list[int]
     generators: list[int]
@@ -281,7 +281,6 @@ def group_from_elements(
         right = [[0]]
     return FiniteGroup(
         elements=elements,
-        index=index,
         identity=0,
         inverse=_inverse_table(right, words),
         generators=[index[g] for g in gen_elems] or [0],
@@ -385,7 +384,6 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
         inverse.append(j)
     group = FiniteGroup(
         elements=list(range(n)),
-        index={i: i for i in range(n)},
         identity=identity,
         inverse=inverse,
         generators=[identity],

@@ -1,14 +1,15 @@
 """Diophantine search for cyclic self-centralizing maximal tori of prime
 order p = m^2 + 1, where m is the automizer order.
 
-Each classical series is described by a TorusFamily record: candidate
-torus orders and base automizer orders as closed formulas in (q, n), plus
-the order of the field-automorphism group.  A field (or graph-field)
-automorphism of degree u multiplies the automizer, so candidates are
-enumerated over the divisors u of that order: u | f for untwisted series,
-u | 2f for the twisted series 2D and 2A (their field parts are generated
-by a graph-field map of order 2f), u | 3f for the triality series.  A hit
-is recorded whenever torus order T is prime and (base * u)^2 + 1 = T.
+Each of the fourteen series is described by one TorusFamily record:
+candidate torus orders and base automizer orders as closed formulas in
+(r, f, q, n), plus the order of the field-automorphism group.  A field
+(or graph-field) automorphism of degree u multiplies the automizer, so a
+candidate needs u | f in general, u | 2f for 2D, 2A, E6 and 2E6 and for
+the graph-field maps of G2 (r = 3) and F4 (r = 2), and u | 3f for the
+triality series 3D4.  A hit is recorded
+whenever torus order T is prime and (base * u)^2 + 1 = T.  The
+exceptional series have no rank and are swept at n = 0.
 
 Completeness is only claimed within the search bounds; the report always
 states them.  Exceptional-series tori whose order is a product of two
@@ -49,32 +50,22 @@ class TorusHit:
             raise ConsistencyError(f"bad hit invariants: {self}")
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _mk_hits(family, q, r, f, n, torus, base, field_order, label_fn) -> list[TorusHit]:
-    """All (u | field_order) candidates with (base*u)^2 + 1 = torus prime."""
-    # the square test first: it is exact at any size, while is_prime
-    # refuses a number past its proven range that passes every base
-    if torus < 5 or not is_perfect_square(torus - 1) or not is_prime(torus):
-        return []
-    m_required = math.isqrt(torus - 1)
-    hits = []
-    for u in _divisors(field_order):
-        if base * u == m_required:
-            hits.append(
-                TorusHit(
-                    p=torus, label=label_fn(u), family=family,
-                    q=q, r=r, f=f, n=n, u=u, m=m_required,
-                )
-            )
-    return hits
-
-
-def _suffix(name: str, u: int) -> str:
-    return name if u == 1 else f"{name}.{u}"
+def _torus_hit(family, label, q, r, f, n, torus, base, field_order):
+    """The hit (base*u)^2 + 1 = torus prime with u | field_order, if any;
+    its label is `label`, suffixed `.u` when u > 1."""
+    # the square and automizer tests first: they are exact at any size,
+    # while is_prime refuses a number past its proven range that passes
+    # every base
+    if torus < 5 or not is_perfect_square(torus - 1):
+        return None
+    m = math.isqrt(torus - 1)
+    u, rem = divmod(m, base)
+    if rem or field_order % u or not is_prime(torus):
+        return None
+    return TorusHit(
+        p=torus, label=label if u == 1 else f"{label}.{u}", family=family,
+        q=q, r=r, f=f, n=n, u=u, m=m,
+    )
 
 
 def _exact_div(numerator: int, denominator: int) -> int:
@@ -88,42 +79,38 @@ def _exact_div(numerator: int, denominator: int) -> int:
 
 @dataclass(frozen=True)
 class TorusFamily:
-    """One classical series: candidate cyclic self-centralizing torus
-    orders with their base automizer orders, the order of the field (or
-    graph-field) automorphism group multiplying the automizer, and the
-    label convention."""
+    """One series: candidate cyclic self-centralizing torus orders with
+    their base automizer orders, the order of the field (or graph-field)
+    automorphism group multiplying the automizer, and the label
+    convention.  The exceptional series have no rank: n_min = 0."""
 
     tag: str
     n_min: int
-    # (q, n) -> [(torus order, base automizer)]
-    tori: object
-    # f -> order of the automizer-extending field part (2f for the
-    # twisted series whose field part is a graph-field map)
-    field_order: object
-    # (q, n) -> base label
-    label: object
+    tori: object  # (r, f, q, n) -> [(torus order, base automizer)]
+    field_order: object  # (r, f) -> order of the field part
+    label: object  # (q, n) -> base label
 
 
-def _bc_tori(q, n):
+def _bc_tori(r, f, q, n):
     g = math.gcd(2, q - 1)
     return [((q**n - 1) // g, 2 * n), ((q**n + 1) // g, 2 * n)]
 
 
-def _d_tori(q, n):
+def _d_tori(r, f, q, n):
     out = [((q**n - 1) // math.gcd(4, q**n - 1), n)]
     if q == 2:
         out.append((q ** (n - 1) - 1, 2 * (n - 1)))
     return out
 
 
-def _2d_tori(q, n):
+def _2d_tori(r, f, q, n):
     out = [((q**n + 1) // math.gcd(2, q**n + 1), n)]
     if q == 2:
         out.append((q ** (n - 1) + 1, 2 * (n - 1)))
     return out
 
 
-def _a_tori(q, n):
+def _a_tori(r, f, q, n):
     # the n = 2 split torus keeps automizer 2 (its type is (1, 1))
     d = math.gcd(n, q - 1)
     return [
@@ -132,7 +119,7 @@ def _a_tori(q, n):
     ]
 
 
-def _2a_tori(q, n):
+def _2a_tori(r, f, q, n):
     d = math.gcd(n, q + 1)
     return [
         (_exact_div(q**n - (-1) ** n, (q + 1) * d), n),
@@ -141,90 +128,100 @@ def _2a_tori(q, n):
 
 
 CLASSICAL_FAMILIES: tuple[TorusFamily, ...] = (
-    TorusFamily("bc", 2, _bc_tori, lambda f: f,
+    TorusFamily("bc", 2, _bc_tori, lambda r, f: f,
                 lambda q, n: f"S{2 * n}({q})"),
-    TorusFamily("d", 4, _d_tori, lambda f: f,
+    TorusFamily("d", 4, _d_tori, lambda r, f: f,
                 lambda q, n: f"O{2 * n}^+({q})"),
-    TorusFamily("2d", 4, _2d_tori, lambda f: 2 * f,
+    TorusFamily("2d", 4, _2d_tori, lambda r, f: 2 * f,
                 lambda q, n: f"O{2 * n}^-({q})"),
-    TorusFamily("a", 2, _a_tori, lambda f: f,
+    TorusFamily("a", 2, _a_tori, lambda r, f: f,
                 lambda q, n: f"L{n}({q})"),
-    TorusFamily("2a", 3, _2a_tori, lambda f: 2 * f,
+    TorusFamily("2a", 3, _2a_tori, lambda r, f: 2 * f,
                 lambda q, n: f"U{n}({q})"),
 )
 
 
-def search(q_max: int = 256, n_max: int = 12) -> list[TorusHit]:
-    """Classical-series sweep; hits deduplicated by (p, label)."""
+def _odd_power(r, f, char):
+    """q = char^(2k+1) with k >= 1: the fields of 2B2, 2F4 and 2G2."""
+    return r == char and f % 2 == 1 and f >= 3
+
+
+def _2b2_tori(r, f, q, n):
+    if not _odd_power(r, f, 2):
+        return []
+    s = 2 ** ((f + 1) // 2)  # sqrt(2q)
+    return [(q - 1, 2), (q + s + 1, 4), (q - s + 1, 4)]
+
+
+def _2f4_tori(r, f, q, n):
+    if not _odd_power(r, f, 2):
+        return []
+    s = 2 ** ((f + 1) // 2)  # sqrt(2q)
+    s3 = 2 ** ((3 * f + 1) // 2)  # sqrt(2q^3)
+    return [(q * q + s3 + q + s + 1, 12), (q * q - s3 + q - s + 1, 12),
+            (q**4 - q**2 + 1, 12)]
+
+
+def _2g2_tori(r, f, q, n):
+    if not _odd_power(r, f, 3):
+        return []
+    s = 3 ** ((f + 1) // 2)  # sqrt(3q)
+    return [(q - 1, 2), (q + 1, 6), (q + s + 1, 6), (q - s + 1, 6)]
+
+
+# Tori Phi_d(q): d = 3, 6 for G2, 12 for 3D4, 8 and 12 for F4, 9 for E6,
+# 18 for 2E6, 15, 20, 24 and 30 for E8.  G2 at r = 3 and F4 at r = 2 have
+# a graph-field map of order 2f.
+EXCEPTIONAL_FAMILIES: tuple[TorusFamily, ...] = (
+    TorusFamily("g2", 0,
+                lambda r, f, q, n: [(q * q + q + 1, 6), (q * q - q + 1, 6)]
+                if q >= 3 else [],
+                lambda r, f: 2 * f if r == 3 else f, lambda q, n: f"G2({q})"),
+    TorusFamily("3d4", 0, lambda r, f, q, n: [(q**4 - q**2 + 1, 4)],
+                lambda r, f: 3 * f, lambda q, n: f"3D4({q})"),
+    TorusFamily("f4", 0,
+                lambda r, f, q, n: [(q**4 + 1, 8), (q**4 - q**2 + 1, 12)],
+                lambda r, f: 2 * f if r == 2 else f, lambda q, n: f"F4({q})"),
+    TorusFamily("e6", 0, lambda r, f, q, n: [(q**6 + q**3 + 1, 9)],
+                lambda r, f: 2 * f, lambda q, n: f"E6({q})"),
+    TorusFamily("2e6", 0, lambda r, f, q, n: [(q**6 - q**3 + 1, 9)],
+                lambda r, f: 2 * f, lambda q, n: f"2E6({q})"),
+    TorusFamily("e8", 0,
+                lambda r, f, q, n: [(cyclotomic_value(d, q), d)
+                                    for d in (15, 20, 24, 30)],
+                lambda r, f: f, lambda q, n: f"E8({q})"),
+    TorusFamily("2b2", 0, _2b2_tori, lambda r, f: f, lambda q, n: f"2B2({q})"),
+    TorusFamily("2f4", 0, _2f4_tori, lambda r, f: f, lambda q, n: f"2F4({q})"),
+    TorusFamily("2g2", 0, _2g2_tori, lambda r, f: f, lambda q, n: f"2G2({q})"),
+)
+
+
+def _sweep(families, q_max: int, n_max: int) -> list[TorusHit]:
+    """Every family at every q <= q_max and n_min <= n <= n_max; the first
+    hit for each (p, label) is kept."""
     hits: dict[tuple[int, str], TorusHit] = {}
     for r, f, q in prime_powers(q_max):
-        for family in CLASSICAL_FAMILIES:
+        for family in families:
+            field_order = family.field_order(r, f)
             for n in range(family.n_min, n_max + 1):
-                base_label = family.label(q, n)
-                for torus, base in family.tori(q, n):
-                    for hit in _mk_hits(
-                        family.tag, q, r, f, n, torus, base,
-                        family.field_order(f),
-                        lambda u, lbl=base_label: _suffix(lbl, u),
-                    ):
+                label = family.label(q, n)
+                for torus, base in family.tori(r, f, q, n):
+                    hit = _torus_hit(family.tag, label, q, r, f, n, torus,
+                                     base, field_order)
+                    if hit is not None:
                         hits.setdefault((hit.p, hit.label), hit)
     return sorted(hits.values())
 
 
+def search(q_max: int = 256, n_max: int = 12) -> list[TorusHit]:
+    """Classical-series sweep; hits deduplicated by (p, label)."""
+    return _sweep(CLASSICAL_FAMILIES, q_max, n_max)
+
+
 def exceptional_series_hits(q_max: int = 256) -> list[TorusHit]:
-    """Sweep the cyclic maximal torus orders of the exceptional series.
-
-    Scanned: G2 (Phi_3, Phi_6; automizer 6), 3D4 (Phi_12; automizer 4,
-    field part 3f), F4 (Phi_8 automizer 8, Phi_12 automizer 12; graph-field
-    doubling for even q), E6/2E6 (Phi_9 / Phi_18; automizer 9), E8 (Phi_15,
-    Phi_20, Phi_24, Phi_30; automizers 15, 20, 24, 30), Suzuki and Ree
-    series (q -+ 1 and q +- sqrt(c*q) + 1 tori).  E7 is omitted: its cyclic
-    maximal tori have orders (q +- 1) * Phi_d(q), composite for all q >= 2.
-    """
-    hits: dict[tuple[int, str], TorusHit] = {}
-
-    def add(items):
-        for h in items:
-            hits.setdefault((h.p, h.label), h)
-
-    for r, f, q in prime_powers(q_max):
-        if q >= 3:
-            field = 2 * f if r == 3 else f  # graph-field map exists for r = 3
-            for torus in (q * q + q + 1, q * q - q + 1):
-                add(_mk_hits("g2", q, r, f, 0, torus, 6, field,
-                             lambda u, q=q: _suffix(f"G2({q})", u)))
-        add(_mk_hits("3d4", q, r, f, 0, q**4 - q**2 + 1, 4, 3 * f,
-                     lambda u, q=q: _suffix(f"3D4({q})", u)))
-        field = 2 * f if r == 2 else f  # graph-field map exists for r = 2
-        add(_mk_hits("f4", q, r, f, 0, q**4 + 1, 8, field,
-                     lambda u, q=q: _suffix(f"F4({q})", u)))
-        add(_mk_hits("f4", q, r, f, 0, q**4 - q**2 + 1, 12, field,
-                     lambda u, q=q: _suffix(f"F4({q})", u)))
-        add(_mk_hits("e6", q, r, f, 0, q**6 + q**3 + 1, 9, 2 * f,
-                     lambda u, q=q: _suffix(f"E6({q})", u)))
-        add(_mk_hits("2e6", q, r, f, 0, q**6 - q**3 + 1, 9, 2 * f,
-                     lambda u, q=q: _suffix(f"2E6({q})", u)))
-        for d in (15, 20, 24, 30):
-            add(_mk_hits("e8", q, r, f, 0, cyclotomic_value(d, q), d, f,
-                         lambda u, q=q: _suffix(f"E8({q})", u)))
-        # Suzuki 2B2(2^(2k+1)), Ree 2G2(3^(2k+1)), 2F4(2^(2k+1))
-        if r == 2 and f % 2 == 1 and f >= 3:
-            s = 2 ** ((f + 1) // 2)  # sqrt(2q)
-            for torus, base in ((q - 1, 2), (q + s + 1, 4), (q - s + 1, 4)):
-                add(_mk_hits("2b2", q, r, f, 0, torus, base, f,
-                             lambda u, q=q: _suffix(f"2B2({q})", u)))
-            s3 = 2 ** ((3 * f + 1) // 2)  # sqrt(2q^3)
-            for torus in (q * q + s3 + q + s + 1, q * q - s3 + q - s + 1,
-                          q**4 - q**2 + 1):
-                add(_mk_hits("2f4", q, r, f, 0, torus, 12, f,
-                             lambda u, q=q: _suffix(f"2F4({q})", u)))
-        if r == 3 and f % 2 == 1 and f >= 3:
-            s = 3 ** ((f + 1) // 2)  # sqrt(3q)
-            for torus, base in ((q - 1, 2), (q + 1, 6),
-                                (q + s + 1, 6), (q - s + 1, 6)):
-                add(_mk_hits("2g2", q, r, f, 0, torus, base, f,
-                             lambda u, q=q: _suffix(f"2G2({q})", u)))
-    return sorted(hits.values())
+    """Exceptional-series sweep (EXCEPTIONAL_FAMILIES, at n = 0); hits
+    deduplicated by (p, label)."""
+    return _sweep(EXCEPTIONAL_FAMILIES, q_max, 0)
 
 
 # Landau primes are swept up to this bound, past every prime in THEOREM_LISTS
@@ -254,7 +251,6 @@ def alternating_check() -> Report:
     among Landau primes that holds only at p = 5 (degenerate p = 2 aside),
     leaving the candidates A5 and A6 (where 5-cycles are non-rational)."""
     rows = []
-    candidates = []
     for lp in landau_primes(LANDAU_LIMIT):
         # (p-1)/2 <= sqrt(p-1)  <=>  (p-1)^2 <= 4(p-1)  <=>  p <= 5
         holds = (lp.p - 1) ** 2 <= 4 * (lp.p - 1)
@@ -268,23 +264,22 @@ def alternating_check() -> Report:
                 "ok": holds == (lp.p <= 5),
             }
         )
-        if holds and not lp.degenerate:
-            candidates += [("A5", lp.p), ("A6", lp.p)]
     return Report(
         command="torus-search --alternating",
         parameters={"limit": LANDAU_LIMIT},
         rows=rows,
-        counters={"candidates": len(candidates)},
+        counters={"candidates": len(_alternating_candidates(rows))},
     )
 
 
+def _alternating_candidates(rows) -> list[tuple[str, int]]:
+    return [(name, row["p"]) for row in rows
+            if row["rationality_bound_holds"] and not row["degenerate"]
+            for name in ("A5", "A6")]
+
+
 def alternating_candidates() -> list[tuple[str, int]]:
-    report = alternating_check()
-    out = []
-    for row in report.rows:
-        if row["rationality_bound_holds"] and not row["degenerate"]:
-            out += [("A5", row["p"]), ("A6", row["p"])]
-    return out
+    return _alternating_candidates(alternating_check().rows)
 
 
 # The classification lists being verified: almost simple groups whose

@@ -255,6 +255,14 @@ def test_bad_group_file_exit_codes(tmp_path):
     assert err.getvalue().startswith("error: ")
     assert "missing.json" in err.getvalue()
     assert err.getvalue().count("\n") == 1
+    # so is a malformed F<p>_<m> descriptor, named in one stderr line
+    for descriptor in ("F5_x", "F_", "F5_2_3"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["degrees", "--group", descriptor])
+        assert code == 2, descriptor
+        assert err.getvalue() == (f"error: malformed group descriptor "
+                                  f"{descriptor!r}: expected F<p>_<m>\n")
 
 
 def test_single_version():

@@ -108,8 +108,10 @@ def test_zeta_is_the_first_nonscalar_hit(p, r):
 
 
 def test_build_gamma_l_rejects_wrong_order():
-    with pytest.raises(ValueError):
-        constructions.build_gamma_l(5, 11)  # 11 = 1 mod 5, order 1
+    for r, message in ((11, "ord_5"),  # 11 = 1 mod 5, order 1
+                       (5, "coprime")):  # r = p: no order is defined
+        with pytest.raises(ValueError, match=message):
+            constructions.build_gamma_l(5, r)
 
 
 def test_build_gamma_l_5_19():
@@ -138,7 +140,6 @@ def test_normal_form_closure_matches_matrix_closure(p, r):
     )
     group = built.action.group
     assert group.elements == by_matrices.elements
-    assert group.index == by_matrices.index
     assert group.generators == by_matrices.generators == [1, 2]
     assert group._right == by_matrices._right
     assert group._words == by_matrices._words

@@ -276,7 +276,8 @@ def test_index_mul_and_right_regular_match_callback():
     ]
     rng = random.Random(5)
     for g, compose in cases:
-        elems, index = g.elements, g.index
+        elems = g.elements
+        index = {x: i for i, x in enumerate(elems)}
         for _ in range(300):
             i, j = rng.randrange(g.order), rng.randrange(g.order)
             assert g.mul(i, j) == index[compose(elems[i], elems[j])]
@@ -295,12 +296,13 @@ def test_class_matrices_match_tuple_formula():
         cc = engine.conjugacy_classes(g)
         c = len(cc.reps)
         expected = [[[0] * c for _ in range(c)] for _ in range(c)]
+        index = {x: i for i, x in enumerate(g.elements)}
         inverses = [invert(x) for x in g.elements]
-        assert [g.index[x] for x in inverses] == g.inverse, g.name
+        assert [index[x] for x in inverses] == g.inverse, g.name
         for k, zk in enumerate(cc.reps):
             times_z = right_multiplier(g.elements[zk])
             for x, x_inv in enumerate(inverses):
-                j = cc.class_of[g.index[times_z(x_inv)]]
+                j = cc.class_of[index[times_z(x_inv)]]
                 expected[cc.class_of[x]][j][k] += 1
         sparse = [
             sorted((j, k, a) for j, row in enumerate(mat)
