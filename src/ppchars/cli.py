@@ -16,14 +16,17 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from functools import partial
+from functools import lru_cache, partial
 
 from . import constructions, engine, landau, lie_bounds, symmetric, torus_search
 from .errors import ConsistencyError, UsageError
 from .report import Report
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `parse_args` keeps no state
+    between calls, and building it costs more than most reports."""
     parser = argparse.ArgumentParser(
         prog="ppchars",
         description="Exact verification of p'-degree character counts",

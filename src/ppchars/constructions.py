@@ -146,16 +146,23 @@ class LinearGroupAction:
         this is M(j) = I M(j), and for i = g i' the checked identity, the
         induction hypothesis at (i', j) and the checked identity at (g, i')
         give M(g i' j) = M(g) M(i' j) = M(g) M(i') M(j) = M(g i') M(j).
+        All M(j) are taken at once: row i of M(g) times the matrices M(j)
+        side by side must be row i of the M(g j) side by side.  Entries
+        must lie in [0, ell).
         """
-        if math.gcd(self.group.order, self.ell) != 1:
+        ell, group, mats = self.ell, self.group, self.matrices
+        if math.gcd(group.order, ell) != 1:
             raise ValueError("group order not coprime to the characteristic")
-        if self.matrices[self.group.identity] != ml.mat_identity(self.dim):
+        if mats[group.identity] != ml.mat_identity(self.dim):
             raise ConsistencyError("the identity does not act as I")
-        for g in self.group.generators:
-            for j in range(self.group.order):
-                left = self.matrices[self.group.mul(g, j)]
-                right = ml.mat_mul(self.matrices[g], self.matrices[j], self.ell)
-                if left != right:
+        wide = ml.mat_hstack(mats)
+        if not all(0 <= min(row) and max(row) < ell for row in wide):
+            raise ConsistencyError("matrix entries are not reduced mod ell")
+        packed = ml.pack_matrix(wide, ell)
+        for g in group.generators:
+            images = [mats[group.mul(g, j)] for j in range(group.order)]
+            for row, image in zip(mats[g], ml.mat_hstack(images)):
+                if ml.rows_times((row,), packed, ell) != (image,):
                     raise ConsistencyError("matrices do not define a homomorphism")
 
 
@@ -270,9 +277,10 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
 
 def _matrix_powers(mat: ml.Matrix, n: int, r: int) -> list[ml.Matrix]:
     """M^0, ..., M^(n-1), after checking that M^n = I."""
+    packed = ml.pack_matrix(mat, r)
     powers = [ml.mat_identity(len(mat))]
     for _ in range(n):
-        powers.append(ml.mat_mul(powers[-1], mat, r))
+        powers.append(ml.rows_times(powers[-1], packed, r))
     if powers.pop() != powers[0]:
         raise ConsistencyError(f"a generator of A does not have order dividing {n}")
     return powers
@@ -302,8 +310,11 @@ def _normal_form_group(p, r, zeta_powers, frob_powers, name="") -> FiniteGroup:
     if pairs.order != p * m:
         raise ConsistencyError(f"A has order {pairs.order}, expected {p * m}")
     pairs.validate()
-    matrices = [ml.mat_mul(zeta_powers[i], frob_powers[j], r)
-                for i, j in pairs.elements]
+    # Z^i F^j for every j from one product: Z^i [F^0 | F^1 | ...]
+    dim = len(frob_powers[0])
+    wide = ml.pack_matrix(ml.mat_hstack(frob_powers), r)
+    blocks = [ml.mat_hsplit(ml.rows_times(z, wide, r), dim) for z in zeta_powers]
+    matrices = [blocks[i][j] for i, j in pairs.elements]
     if len(set(matrices)) != len(matrices):
         raise ConsistencyError("the normal forms Z^i F^j are not distinct")
     return FiniteGroup(
@@ -314,27 +325,28 @@ def _normal_form_group(p, r, zeta_powers, frob_powers, name="") -> FiniteGroup:
 
 
 def _verify_gamma_l_invariants(p, r, zeta_powers, frob_powers) -> None:
-    identity, mult_matrix = zeta_powers[0], zeta_powers[1]
+    mult_matrix = zeta_powers[1]
     frob_matrix = frob_powers[1]
     dim = len(mult_matrix)
-    frob_inv = ml.mat_inv(frob_matrix, r)
-    conj = ml.mat_mul(ml.mat_mul(frob_matrix, mult_matrix, r), frob_inv, r)
+    frob_packed = ml.pack_matrix(frob_matrix, r)
+    # F Z^i for every i from one product: F [Z^0 | Z^1 | ...]
+    frob_zeta = ml.mat_hsplit(
+        ml.mat_mul(frob_matrix, ml.mat_hstack(zeta_powers), r), dim)
 
     # one walk over zeta^1 .. zeta^(p-1)
     for i in range(1, p):
         power = zeta_powers[i]
         # P acts fixed point freely on nonzero vectors
-        shifted = [
-            [(power[a][b] - identity[a][b]) % r for b in range(dim)]
-            for a in range(dim)
-        ]
+        shifted = [[(x - (a == b)) % r for b, x in enumerate(row)]
+                   for a, row in enumerate(power)]
         if ml.nullspace(shifted, r):
             raise ConsistencyError("zeta-power has nonzero fixed space")
         # Frobenius centralizes no nontrivial element of P
-        if ml.mat_mul(frob_matrix, power, r) == ml.mat_mul(power, frob_matrix, r):
+        zeta_frob = ml.rows_times(power, frob_packed, r)
+        if frob_zeta[i] == zeta_frob:
             raise ConsistencyError(f"Frobenius centralizes zeta^{i}")
-        # Frobenius normalizes P: F M F^-1 = M^r
-        if i == r % p and conj != power:
+        # Frobenius normalizes P: F M F^-1 = M^r, that is F M = M^r F
+        if i == r % p and frob_zeta[1] != zeta_frob:
             raise ConsistencyError("Frobenius does not conjugate zeta to zeta^r")
 
     # C_A(P) = P: zeta^i F^j commutes with zeta exactly when F^j does, so
@@ -393,7 +405,12 @@ def clifford_pprime_count(
     (sum of f over the conjugates of H) / [A:H] orbits with inertia
     subgroup conjugate to H.  Such an inertia type adds its degrees times
     its number of orbits to the histogram at once, so the work does not
-    grow with the number of orbits or characters.  Checked exactly: the f
+    grow with the number of orbits or characters.  The lattice takes one
+    nullspace per class of A, since W_(t^-1 g t) = D_t^-1 W_g, and reads the
+    stabilizers off containments: R lies in W_g when each basis row of R
+    does.  A meet R with W_g is formed only where it can be a new member:
+    not for R = V (the meet is W_g), R or W_g = 0, or a line R (the meet
+    is 0).  See `_fixed_space_lattice`.  Checked exactly: the f
     are non-negative and sum to |V|, each orbit count is an integer, and
     the squared degrees sum to |V| * |A|.
 
@@ -409,8 +426,9 @@ def clifford_pprime_count(
     dual_mats = [
         ml.mat_transpose(action.matrices[group.inverse[g]]) for g in range(n)
     ]
-    reps, class_size, rep_stabilizer = _fixed_space_lattice(group, dual_mats, ell)
     conjugations = _generator_conjugations(group)
+    reps, class_size, rep_stabilizer = _fixed_space_lattice(
+        group, dual_mats, ell, conjugations)
     conjugates = [_conjugates(conjugations, h) for h in rep_stabilizer]
     if [len(c) for c in conjugates] != class_size:
         raise ConsistencyError("space orbits and stabilizer classes differ")
@@ -461,41 +479,73 @@ def clifford_pprime_count(
     )
 
 
-def _fixed_space_lattice(group: FiniteGroup, mats: list, ell: int):
-    """Every intersection of the fixed spaces ker(M_g - I), up to A.
+def _fixed_space_lattice(group: FiniteGroup, mats: list, ell: int,
+                         conjugations: list[list[int]]):
+    """Every intersection of the fixed spaces Fix(g) = ker(M_g - I), up to A.
 
     A space is keyed by the reduced row echelon form of a basis.  Returns
     one representative R per A-orbit of intersections, the orbit sizes,
     and the pointwise stabilizers {g : M_g w = w on R}.
 
-    Only representatives are intersected with the fixed spaces: these form
-    an A-invariant set, so x R meets F in x (R meets x^-1 F), and the
-    orbits of such meets are every intersection.  R lies in ker(M_g - I)
-    exactly when their meet is R, which gives the stabilizer of R.
+    Transport: Fix(t^-1 g t) = M_t^-1 Fix(g), so one nullspace per class of
+    A is carried along the generator conjugations x -> t^-1 x t to the rest
+    of the class; a class that fixes only 0 costs nothing more.  The fixed
+    spaces of a class form one A-orbit.
+
+    Meets: the fixed spaces F form an A-invariant set, so x R meets F in
+    x (R meets x^-1 F), and meeting the representatives R with each F gives
+    every orbit of intersections.  With F in echelon form, w lies in F
+    exactly when it equals its shadow sum_c w_c F_c over the pivot columns
+    c of F, so the stabilizer of R needs no meet.  A meet is formed only
+    where it can be new: not for R = V (it is F), nor for R or F = 0 or a
+    line R (it is 0).
     """
     dim = len(mats[0])
-    equations = {}  # fixed space -> M_g - I for one g fixing exactly it
+    # M_t^-1 on row vectors: w -> w (M_t^-1)^T
+    carry = [ml.pack_matrix(ml.mat_transpose(mats[group.inverse[t]]), ell)
+             for t in group.generators]
+    fixed = [None] * group.order
+    images = {}  # (fixed space, t) -> M_t^-1 (fixed space)
+    orbit_of = {}  # fixed space -> its A-orbit
+    for start, mat in enumerate(mats):
+        if fixed[start] is not None:
+            continue
+        shifted = [[(x - (i == j)) % ell for j, x in enumerate(row)]
+                   for i, row in enumerate(mat)]
+        fixed[start] = _span_key(ml.nullspace(shifted, ell), ell)
+        members = [start]
+        for x in members:
+            for t, conj in enumerate(conjugations):
+                y = conj[x]
+                if fixed[y] is None:
+                    if (fixed[x], t) not in images:
+                        images[fixed[x], t] = fixed[x] and _span_key(
+                            ml.rows_times(fixed[x], carry[t], ell), ell)
+                    fixed[y] = images[fixed[x], t]
+                    members.append(y)
+        orbit = {fixed[x] for x in members}
+        orbit_of.update(dict.fromkeys(orbit, orbit))
     fixers: dict[tuple, list[int]] = {}
-    for g, mat in enumerate(mats):
-        shifted = [[(mat[i][j] - (i == j)) % ell for j in range(dim)]
-                   for i in range(dim)]
-        key = _span_key(ml.nullspace(shifted, ell), ell)
-        equations.setdefault(key, shifted)
-        fixers.setdefault(key, []).append(g)
+    for g, space in enumerate(fixed):
+        fixers.setdefault(space, []).append(g)
+    spaces = [(space, [row.index(1) for row in space],
+               ml.pack_matrix(space, ell)) for space in fixers]
 
     reps: list[tuple] = []
     class_size: list[int] = []
     known: set[tuple] = set()
 
     def add_orbit(space):
-        orbit = [space]
-        known.add(space)
-        for w in orbit:
-            for g in group.generators:
-                image = _span_key([ml.mat_vec(mats[g], v, ell) for v in w], ell)
-                if image not in known:
-                    known.add(image)
-                    orbit.append(image)
+        orbit = orbit_of.get(space)
+        if orbit is None:  # not a fixed space: close it under the generators
+            orbit, todo = {space}, [space]
+            for w in todo:
+                for packed in carry:
+                    image = _span_key(ml.rows_times(w, packed, ell), ell)
+                    if image not in orbit:
+                        orbit.add(image)
+                        todo.append(image)
+        known.update(orbit)
         reps.append(space)
         class_size.append(len(orbit))
 
@@ -503,33 +553,39 @@ def _fixed_space_lattice(group: FiniteGroup, mats: list, ell: int):
     stabilizers = []
     for rep in reps:
         stab = []
-        for key, shifted in equations.items():
-            meet = _intersect(rep, shifted, ell)
-            if meet == rep:
-                stab.extend(fixers[key])
-            elif meet not in known:
+        for space, pivots, packed in spaces:
+            shadow = ml.rows_times([[w[c] for c in pivots] for w in rep],
+                                   packed, ell)
+            if shadow == rep:
+                stab.extend(fixers[space])
+                continue
+            if len(rep) == dim:
+                meet = space
+            elif len(rep) == 1 or not space:
+                meet = ()
+            else:
+                meet = _meet(rep, shadow, ell)
+            if meet not in known:
                 add_orbit(meet)
         stabilizers.append(frozenset(stab))
     return reps, class_size, stabilizers
 
 
-def _span_key(vectors: list, ell: int) -> tuple:
+def _span_key(vectors, ell: int) -> tuple:
     rows, _ = ml.row_reduce(vectors, ell)
-    return tuple(tuple(row) for row in rows)
+    return tuple(rows)
 
 
-def _intersect(basis: tuple, equations: list, ell: int) -> tuple:
-    """The vectors of span(basis) that the equations send to zero."""
-    if not basis:
-        return basis
-    values = [[sum(e * b for e, b in zip(row, vec)) % ell for vec in basis]
-              for row in equations]
-    coeffs = ml.nullspace(values, ell)
-    return _span_key(
-        [[sum(c * vec[i] for c, vec in zip(cs, basis)) % ell
-          for i in range(len(basis[0]))] for cs in coeffs],
-        ell,
-    )
+def _meet(rows: tuple, shadows: tuple, ell: int) -> tuple:
+    """span(rows) meet F, keyed, from the rows' shadows in F: w -> w - shadow
+    is linear with kernel F, so sum a_i w_i lies in F when
+    sum a_i (w_i - shadow_i) = 0."""
+    residues = [[(x - y) % ell for x, y in zip(w, shadow)]
+                for w, shadow in zip(rows, shadows)]
+    coeffs = ml.nullspace(ml.mat_transpose(residues), ell)
+    if not coeffs:
+        return ()
+    return _span_key(ml.rows_times(coeffs, ml.pack_matrix(rows, ell), ell), ell)
 
 
 def _conjugates(conjugations: list[list[int]],
@@ -580,8 +636,9 @@ def semidirect_product_permutations(action: LinearGroupAction) -> FiniteGroup:
             )
         )
     for g in group.generators:
-        mat = action.matrices[g]
-        gens.append(tuple(code_of[tuple(ml.mat_vec(mat, v, ell))] for v in vectors))
+        # M v for every v, as the rows v M^T
+        images = ml.mat_mul(vectors, ml.mat_transpose(action.matrices[g]), ell)
+        gens.append(tuple(code_of[w] for w in images))
     product = group_from_permutations(gens, name="V x| A")
     if product.order != size_v * group.order:
         raise ValueError(

@@ -3,17 +3,19 @@
 Everything here works on plain Python ints reduced modulo a prime, with
 matrices as sequences of rows, vectors as lists and polynomials as
 coefficient lists in increasing degree order.  No floating point anywhere.
-The products, inverses and transposes are tuples of row tuples, so a
-matrix is hashable and can be a group element; the eliminations accept
-any rows and return lists.  The Krylov sequence and modular powers of
-polynomials run on packed vectors (`pack`): one int per vector, so that a
-row operation or a polynomial product is one big-int operation.
+Products and transposes are tuples of row tuples, so a matrix is hashable
+and can be a group element; the eliminations accept any rows.  Products,
+eliminations, the Krylov sequence and modular powers of polynomials run on
+packed vectors (`pack`): one int per row, so that a row operation or a
+polynomial product is one big-int operation.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from functools import lru_cache
+from itertools import chain
 from operator import mul
 
 from .errors import ConsistencyError
@@ -39,10 +41,16 @@ def slot_width(bound: int) -> int:
     return max(8, ((bound - 1).bit_length() + 7) // 8)
 
 
+@lru_cache(maxsize=256)
+def _quads(n: int) -> struct.Struct:
+    """The compiled format of n eight-byte slots, reused across calls."""
+    return struct.Struct(f"<{n}Q")
+
+
 def pack(xs, width: int = 8) -> int:
     """The ints xs, each in [0, 2^(8 width)), as slots of one int."""
     if width == 8:
-        return int.from_bytes(struct.pack(f"<{len(xs)}Q", *xs), "little")
+        return int.from_bytes(_quads(len(xs)).pack(*xs), "little")
     return int.from_bytes(
         b"".join(x.to_bytes(width, "little") for x in xs), "little"
     )
@@ -58,7 +66,7 @@ def unpack(x: int, n: int, width: int = 8) -> tuple[int, ...]:
             f"a packed value does not fit {n} slots of {width} bytes"
         ) from None
     if width == 8:
-        return struct.unpack(f"<{n}Q", data)
+        return _quads(n).unpack(data)
     return tuple(int.from_bytes(data[i:i + width], "little")
                  for i in range(0, n * width, width))
 
@@ -70,62 +78,91 @@ def mat_identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def pack_matrix(b: Matrix, p: int) -> tuple[list[int], int, int]:
+    """The rows of b, with entries in [0, p), packed for `rows_times`,
+    with the row length and the slot width.  A product row sums len(b)
+    products of residues, so its slots stay below len(b) p^2."""
+    width = slot_width(len(b) * p * p)
+    return [pack(row, width) for row in b], len(b[0]) if b else 0, width
+
+
+def rows_times(a, packed_b: tuple[list[int], int, int], p: int) -> Matrix:
+    """The product a b over F_p, for rows of a with entries in [0, p) and
+    b packed by `pack_matrix`: row i is sum_k a_ik b_k over the packed rows
+    b_k, one C-level sum of products, unpacked and reduced once."""
+    rows, n, width = packed_b
+    return tuple(tuple([x % p for x in unpack(sum(map(mul, row, rows)), n, width)])
+                 for row in a)
+
+
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(map(mul, row, col)) % p for col in cols) for row in a
-    )
+    a, b = ([[x % p for x in row] for row in m] for m in (a, b))
+    return rows_times(a, pack_matrix(b, p), p)
 
 
-def mat_vec(a: Matrix, v: list, p: int) -> list:
-    return [sum(map(mul, row, v)) % p for row in a]
+def mat_hstack(mats) -> Matrix:
+    """The matrices with the same number of rows, side by side."""
+    return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*mats))
+
+
+def mat_hsplit(a: Matrix, width: int) -> list[Matrix]:
+    """The blocks of `width` columns of a, left to right."""
+    return [tuple(row[j:j + width] for row in a)
+            for j in range(0, len(a[0]), width)]
 
 
 def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def mat_inv(a: Matrix, p: int) -> Matrix:
-    """Inverse via Gauss-Jordan; raises ValueError on a singular matrix."""
-    n = len(a)
-    aug = [list(row) + list(ident) for row, ident in zip(a, mat_identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [x * inv % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                t = aug[r][col]
-                aug[r] = [(x - t * y) % p for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def row_reduce(a: Matrix, p: int) -> tuple[list[tuple], list[int]]:
+    """Reduced row echelon form of a over F_p: its nonzero rows, as
+    tuples, and their pivot columns.  The rows depend only on the row
+    space of a.
 
+    Packed, as in `krylov_minpoly`: each row of a is one int, reduced
+    against the echelon rows found before it, so that it ends at zero in
+    each of their pivot columns.  A row normalized to 1 at its pivot is
+    kept as its complement p - row, and t times the row is subtracted by
+    adding t times the complement, so each slot stays non-negative and
+    below p + k p^2 after k rows.  Then each row, from the last found to
+    the first, is reduced in the same way against the finished rows after
+    it, which clears their pivot columns.
+    """
+    ncol = len(a[0]) if a else 0
+    width = slot_width((ncol + 2) * p * p)
+    bits, full = 8 * width, pack([p] * ncol, width)
+    mask = (1 << bits) - 1
 
-def row_reduce(a: Matrix, p: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form of a over F_p: its nonzero rows and their
-    pivot columns.  The rows depend only on the row space of a."""
-    rows = [[x % p for x in r] for r in a]
-    nrow, ncol = len(rows), len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(ncol):
-        if r == nrow:
+    def reduce(u, rows):
+        for pivot, complement in rows:
+            t = (u >> bits * pivot & mask) % p
+            if t:
+                u += t * complement
+        return [x % p for x in unpack(u, ncol, width)]
+
+    found, normalized = [], []  # (pivot, complement) and row, as found
+    for row in a:
+        if len(found) == ncol:
             break
-        piv = next((i for i in range(r, nrow) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(nrow):
-            if i != r and rows[i][col]:
-                t = rows[i][col]
-                rows[i] = [(x - t * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return rows[:r], pivots
+        entries = reduce(pack([x % p for x in row], width), found)
+        lead = next(filter(None, entries), 0)
+        if lead:
+            inv = pow(lead, -1, p)
+            entries = [x * inv % p for x in entries]
+            found.append((entries.index(1), full - pack(entries, width)))
+            normalized.append(entries)
+    if len(found) == ncol:  # full rank: the echelon form is I
+        return list(mat_identity(ncol)), list(range(ncol))
+    finished, rows = [], {}
+    for (pivot, complement), entries in zip(found[::-1], normalized[::-1]):
+        if any(entries[c] for c, _ in finished):
+            entries = reduce(full - complement, finished)
+            complement = full - pack(entries, width)
+        finished.append((pivot, complement))
+        rows[pivot] = tuple(entries)
+    pivots = sorted(rows)
+    return [rows[c] for c in pivots], pivots
 
 
 def nullspace(a: Matrix, p: int) -> list[list]:
@@ -148,32 +185,17 @@ def solve_in_span(basis: list[list], targets: list[list], p: int) -> list[list]:
 
     basis: k independent vectors of length n spanning a subspace that must
     contain every target.  Returns one coefficient vector (length k) per
-    target.  Raises ConsistencyError if the basis is dependent or a target
-    falls outside the span.
+    target, read off the echelon form of the columns [basis | targets].
+    Raises ConsistencyError if the basis is dependent or a target falls
+    outside the span.
     """
-    k, n = len(basis), len(basis[0])
-    t = len(targets)
-    rows = [[basis[j][i] for j in range(k)] + [tg[i] for tg in targets]
-            for i in range(n)]
-    r = 0
-    piv_of_col = []
-    for col in range(k):
-        piv = next((i for i in range(r, n) if rows[i][col] % p), None)
-        if piv is None:
-            raise ConsistencyError("dependent basis in solve_in_span")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col]:
-                tt = rows[i][col]
-                rows[i] = [(x - tt * y) % p for x, y in zip(rows[i], rows[r])]
-        piv_of_col.append(r)
-        r += 1
-    for i in range(r, n):
-        if any(x % p for x in rows[i][k:]):
-            raise ConsistencyError("target outside span in solve_in_span")
-    return [[rows[piv_of_col[c]][k + j] for c in range(k)] for j in range(t)]
+    k = len(basis)
+    rows, pivots = row_reduce(list(zip(*basis, *targets)), p)
+    if pivots[:k] != list(range(k)):
+        raise ConsistencyError("dependent basis in solve_in_span")
+    if len(pivots) > k:
+        raise ConsistencyError("target outside span in solve_in_span")
+    return [[row[k + j] for row in rows] for j in range(len(targets))]
 
 
 def krylov_minpoly(a: Matrix, v: list, p: int) -> tuple[Poly, list[list]]:

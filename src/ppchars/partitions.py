@@ -155,14 +155,34 @@ def split_count_naive(m: int, s: int) -> int:
 
 
 def enumerate_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield all partitions of n as weakly decreasing tuples."""
+    """Yield all partitions of n with parts at most max_part (default n)
+    as weakly decreasing tuples, in decreasing lexicographic order.
+
+    Each partition after the first comes from the one before: its trailing
+    1s and its last part x > 1 make room for x - 1 and the greedy run of
+    parts x - 1 that sums to the rest."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    if max_part is None or max_part > n:
+        max_part = n
     if n == 0:
         yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in enumerate_partitions(n - first, first):
-            yield (first,) + rest
+    if max_part < 1:
+        return
+    parts = [max_part] * (n // max_part)
+    if n % max_part:
+        parts.append(n % max_part)
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        x = parts.pop() - 1
+        rest = ones + x + 1
+        parts.extend([x] * (rest // x))
+        if rest % x:
+            parts.append(rest % x)

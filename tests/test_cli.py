@@ -357,6 +357,41 @@ def test_main_stamps_elapsed_seconds_on_every_subcommand():
         assert json.loads(out)["elapsed_seconds"] > 0, command
 
 
+def test_parser_is_built_once_and_reused():
+    """One process runs a usage error and then two subcommands through the
+    one cached parser; each call prints what a fresh process prints, apart
+    from elapsed_seconds, with the same exit code."""
+    assert build_parser() is build_parser()
+    argvs = [["solvable", "--p", "x"], ["landau", "--limit", "50"],
+             ["partitions", "--pi", "12", "--format", "csv"]]
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = ("import contextlib, io, json, sys\n"
+              "from ppchars.cli import main\n"
+              "runs = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        try:\n"
+              "            code = main(argv)\n"
+              "        except SystemExit as exc:\n"
+              "            code = exc.code\n"
+              "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps(runs))\n")
+    one = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert one.returncode == 0, one.stderr
+    runs = json.loads(one.stdout)
+    for argv, (code, out, err) in zip(argvs, runs):
+        fresh = subprocess.run([sys.executable, "-m", "ppchars.cli"] + argv,
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+        assert code == fresh.returncode, argv
+        assert without_elapsed(out) == without_elapsed(fresh.stdout), argv
+        assert err == fresh.stderr, argv
+    assert [code for code, _, _ in runs] == [2, 0, 0]
+
+
 def _run_capped(argv, timeout=60):
     """`ppchars argv` in a child under a 1 GB address-space cap, so that an
     input that is built before it is refused fails with a MemoryError

@@ -11,6 +11,8 @@ from ppchars import modlinalg as ml
 from ppchars.cli import main
 from ppchars.errors import ConsistencyError, SearchExhaustedError
 
+import list_kernels as lk
+
 
 def _frobenius_action(p, m):
     """The complement C_m of H(p, m) acting on V = Z/p by multiplication,
@@ -263,7 +265,7 @@ def _sweep_orbit_rows(action):
     inertia subgroup off its orbit's first vector."""
     ell, dim, group = action.ell, action.dim, action.group
     n = group.order
-    dual = [ml.mat_transpose(ml.mat_inv(mat, ell)) for mat in action.matrices]
+    dual = [ml.mat_transpose(lk.mat_inv(mat, ell)) for mat in action.matrices]
     vectors = list(constructions._all_vectors(ell, dim))
     code = {v: c for c, v in enumerate(vectors)}
     visited = bytearray(len(vectors))
@@ -276,13 +278,13 @@ def _sweep_orbit_rows(action):
         orbit = [start]
         for c in orbit:
             for g in group.generators:
-                w = code[tuple(ml.mat_vec(dual[g], vectors[c], ell))]
+                w = code[tuple(lk.mat_vec(dual[g], vectors[c], ell))]
                 if not visited[w]:
                     visited[w] = 1
                     orbit.append(w)
         rep = vectors[start]
         inertia = tuple(
-            g for g in range(n) if tuple(ml.mat_vec(dual[g], rep, ell)) == rep
+            g for g in range(n) if tuple(lk.mat_vec(dual[g], rep, ell)) == rep
         )
         assert len(orbit) * len(inertia) == n
         if inertia not in inertia_degrees:
@@ -298,6 +300,15 @@ def _trivial_action():
         3, 1, engine.cyclic_group(2), (((1,),), ((1,),)))
 
 
+def _klein_action():
+    """C2 x C2 on F_3^3 by diag(1, -1, -1) and diag(-1, 1, -1): every
+    element fixes a line or more, and 0 is only the meet of two lines."""
+    gens = [((1, 0, 0), (0, 2, 0), (0, 0, 2)), ((2, 0, 0), (0, 1, 0), (0, 0, 2))]
+    group = engine.group_from_elements(
+        gens, lambda x, y: ml.mat_mul(x, y, 3), ml.mat_identity(3), name="C2^2")
+    return constructions.LinearGroupAction(3, 3, group, tuple(group.elements))
+
+
 @pytest.mark.parametrize("make_action, p", [
     (lambda: constructions.build_gamma_l(5, 19).action, 5),
     (lambda: constructions.build_gamma_l(5, 199).action, 5),
@@ -306,8 +317,9 @@ def _trivial_action():
     (lambda: _frobenius_action(5, 2), 5),
     (lambda: _frobenius_action(17, 4), 17),
     (_trivial_action, 5),
+    (_klein_action, 2),
 ], ids=["gamma_5_19", "gamma_5_199", "gamma_17", "frobenius_5_2",
-        "frobenius_17_4", "trivial"])
+        "frobenius_17_4", "trivial", "klein_f3"])
 def test_clifford_matches_dual_sweep(make_action, p):
     action = make_action()
     result = constructions.clifford_pprime_count(action, p)
@@ -320,6 +332,28 @@ def test_clifford_matches_dual_sweep(make_action, p):
     assert expanded == Counter(reference)
     assert result.degrees.degrees == tuple(
         sorted(d for _, _, degrees in reference for d in degrees))
+
+
+@pytest.mark.parametrize("make_action", [
+    *(lambda p=p, r=r: constructions.build_gamma_l(p, r).action
+      for p, r in ((5, 19), (5, 199), (5, 509), (17, 13), (37, 11), (101, 17))),
+    lambda: _frobenius_action(17, 4), _trivial_action, _klein_action,
+], ids=["gamma_5_19", "gamma_5_199", "gamma_5_509", "gamma_17_13",
+        "gamma_37_11", "gamma_101_17", "frobenius_17_4", "trivial", "klein_f3"])
+def test_fixed_space_lattice_matches_list_reference(make_action):
+    """Class transport, containment stabilizers and the skipped meets give
+    the representatives, orbit sizes and stabilizers, in the same order,
+    that one nullspace per element and one meet per pair give."""
+    action = make_action()
+    group, ell = action.group, action.ell
+    dual = [ml.mat_transpose(action.matrices[group.inverse[g]])
+            for g in range(group.order)]
+    lattice = constructions._fixed_space_lattice(
+        group, dual, ell, engine._generator_conjugations(group))
+    assert lattice == lk.fixed_space_lattice(group, dual, ell)
+    if make_action is _klein_action:
+        reps, _, _ = lattice
+        assert [len(rep) for rep in reps] == [3, 1, 1, 1, 0]
 
 
 def test_solvable_witness_p37():
@@ -368,6 +402,25 @@ def test_action_validation_rejects_non_homomorphism():
     action = constructions.LinearGroupAction(5, 1, c1, (((0,),),))
     with pytest.raises(ConsistencyError, match="identity"):
         action.validate()
+
+
+def test_action_validation_checks_every_row_and_entry():
+    """M(g) = diag(1, 2) over F_5 squares to diag(1, 4): the product fails
+    in its second row only.  An entry outside [0, 5) is refused even where
+    it is the right residue."""
+    c2 = engine.cyclic_group(2)
+    g = next(x for x in range(2) if x != c2.identity)
+
+    def action(mat):
+        mats = [None, None]
+        mats[c2.identity], mats[g] = ml.mat_identity(2), mat
+        return constructions.LinearGroupAction(5, 2, c2, tuple(mats))
+
+    action(((4, 0), (0, 1))).validate()
+    with pytest.raises(ConsistencyError, match="homomorphism"):
+        action(((1, 0), (0, 2))).validate()
+    with pytest.raises(ConsistencyError, match="not reduced"):
+        action(((4, 0), (0, 6))).validate()
 
 
 def test_engine_cross_check_frobenius():

@@ -12,6 +12,8 @@ from ppchars import constructions, engine, symmetric
 from ppchars import modlinalg as ml
 from ppchars.errors import ConsistencyError, EngineSplitError, SizeLimitError
 
+import list_kernels as lk
+
 
 def _perm_compose(a, b):
     return tuple(map(a.__getitem__, b))
@@ -466,7 +468,7 @@ def test_projections_are_common_eigenvectors_of_every_class_matrix():
             scale = pow(v[e], -1, L)
             for i, m in enumerate(dense):
                 eigenvalue = v[i] * scale % L
-                assert ml.mat_vec(m, v, L) == [eigenvalue * x % L for x in v]
+                assert lk.mat_vec(m, v, L) == [eigenvalue * x % L for x in v]
 
 
 def _support(v, weights, L):

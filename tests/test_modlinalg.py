@@ -6,6 +6,8 @@ from ppchars import engine
 from ppchars import modlinalg as ml
 from ppchars.errors import ConsistencyError
 
+import list_kernels as lk
+
 P = 101
 
 
@@ -15,7 +17,7 @@ def test_mat_inverse_roundtrip():
         n = rng.randrange(1, 6)
         a = [[rng.randrange(P) for _ in range(n)] for _ in range(n)]
         try:
-            inv = ml.mat_inv(a, P)
+            inv = lk.mat_inv(a, P)
         except ValueError:
             continue
         assert ml.mat_mul(a, inv, P) == ml.mat_identity(n)
@@ -43,7 +45,7 @@ def test_mat_mul_matches_triple_loop():
 
 def test_mat_inv_singular():
     with pytest.raises(ValueError):
-        ml.mat_inv([[1, 2], [2, 4]], P)
+        lk.mat_inv([[1, 2], [2, 4]], P)
 
 
 def test_nullspace():
@@ -51,7 +53,7 @@ def test_nullspace():
     basis = ml.nullspace(a, P)
     assert len(basis) == 2
     for v in basis:
-        assert ml.mat_vec(a, v, P) == [0, 0]
+        assert lk.mat_vec(a, v, P) == [0, 0]
 
 
 def test_charpoly_known():
@@ -143,7 +145,7 @@ def _conjugate_by_random(d, p, rng):
     while True:
         s = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         try:
-            s_inv = ml.mat_inv(s, p)
+            s_inv = lk.mat_inv(s, p)
         except ValueError:
             continue
         return ml.mat_mul(ml.mat_mul(s_inv, d, p), s, p)
@@ -219,7 +221,7 @@ def test_krylov_split_with_wide_slots():
     assert len(pieces) == len(set(diag))
     assert [sum(col) % p for col in zip(*pieces)] == v
     for y in pieces:
-        ay = ml.mat_vec(a, y, p)
+        ay = lk.mat_vec(a, y, p)
         z = next(ay[i] * pow(y[i], -1, p) % p for i in range(n) if y[i])
         assert ay == [z * x % p for x in y] and z in diag
 
@@ -340,10 +342,30 @@ def test_krylov_minpoly_matches_list_elimination():
                     assert mu[-1] == 1
 
 
+def _assert_eliminations_match(a, p):
+    rows, pivots = lk.row_reduce(a, p)
+    assert ml.row_reduce(a, p) == ([tuple(row) for row in rows], pivots)
+    if a:
+        assert ml.nullspace(a, p) == lk.nullspace(a, p)
+
+
+def _staircase(c, p):
+    """Unit rows e_0 .. e_(c-2) and then the all-(p - 1) row: reducing the
+    last row adds (p - 1) times a complement slot of p per earlier row, so
+    its last slot reaches (p - 1) + (c - 1) (p - 1) p, near the bound
+    (c + 2) p^2 of the elimination's slots.  Then the same rows reversed,
+    which leaves every later pivot to the back substitution."""
+    rows = [[int(i == j) for j in range(c)] for i in range(c - 1)]
+    rows.append([p - 1] * c)
+    return rows, rows[::-1]
+
+
 def test_kernels_at_their_slot_bounds():
-    """All residues p - 1, so that the slot sums of a mat-vec and of a
-    polynomial square reach c (p - 1)^2 and n (p - 1)^2: past 8-byte slots
-    at p = 2^31 - 1, past 16-byte ones at p = 2^61 - 1."""
+    """All residues p - 1, so that the slot sums of a mat-vec, a matrix
+    product and a polynomial square reach c (p - 1)^2 and n (p - 1)^2: past
+    8-byte slots at p = 2^31 - 1, past 16-byte ones at p = 2^61 - 1.  The
+    eliminations' slots come near (c + 2) p^2 on staircases, with c = 2 and
+    62 putting that bound at exactly 2^64 and 2^128 for the larger primes."""
     c = n = 90
     for p in (4561, 2**31 - 1, 2**61 - 1):
         a = [[p - 1] * c for _ in range(c)]
@@ -352,6 +374,38 @@ def test_kernels_at_their_slot_bounds():
         base, f = [p - 1] * n, [p - 1] * n + [1]
         for e in (2, 3, 1000):
             assert ml.poly_powmod(base, e, f, p) == _powmod_reference(base, e, f, p)
+        assert ml.mat_mul(a, a, p) == lk.mat_mul(a, a, p)
+        _assert_eliminations_match(a, p)
+        for size in (2, 62, c):
+            for rows in _staircase(size, p):
+                _assert_eliminations_match(rows, p)
+    assert ml.slot_width(4 * (2**31 - 1) ** 2) == 8
+    assert ml.slot_width(64 * (2**61 - 1) ** 2) == 16
+
+
+@pytest.mark.parametrize("p", [2, 3, 643, 2**31 - 1, 2**61 - 1])
+def test_packed_kernels_match_list_references(p):
+    """Products and eliminations against the list kernels on random
+    matrices of every rank: square, wide and tall, with repeated, zero and
+    unreduced rows."""
+    rng = random.Random(p)
+    for rows, cols in ((1, 1), (2, 2), (3, 5), (5, 3), (4, 4), (10, 10),
+                       (16, 16), (7, 20)):
+        for rank in range(min(rows, cols) + 1):
+            left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+            right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+            a = lk.mat_mul(left, right, p) if rank else [[0] * cols] * rows
+            a = [list(row) for row in a]
+            _assert_eliminations_match(a, p)
+            _assert_eliminations_match(a + a[:1], p)
+            unreduced = [[x + p * rng.randrange(-2, 3) for x in row] for row in a]
+            _assert_eliminations_match(unreduced, p)
+            b = [[rng.randrange(p) for _ in range(rng.randrange(1, 6))]
+                 for _ in range(cols)]
+            b = [row[:len(b[0])] + [0] * (len(b[0]) - len(row)) for row in b]
+            assert ml.mat_mul(a, b, p) == lk.mat_mul(a, b, p)
+            assert ml.mat_mul(unreduced, b, p) == lk.mat_mul(a, b, p)
+            assert ml.rows_times(a, ml.pack_matrix(b, p), p) == lk.mat_mul(a, b, p)
 
 
 def test_distinct_roots_of_eighty_linear_factors():

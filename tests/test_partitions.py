@@ -112,6 +112,32 @@ def test_enumerate_partitions():
     assert list(partitions.enumerate_partitions(0)) == [()]
 
 
+def _partitions_recursive(n, max_part=None):
+    """The recursive generator: largest first part first, then the
+    partitions of the rest with parts at most that part."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n == 0:
+        yield ()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in _partitions_recursive(n - first, first):
+            yield (first,) + rest
+
+
+def test_enumerate_partitions_matches_recursive_order():
+    for n in range(31):
+        for max_part in (None, *range(-1, n + 2)):
+            assert list(partitions.enumerate_partitions(n, max_part)) == \
+                list(_partitions_recursive(n, max_part)), (n, max_part)
+    assert sum(1 for _ in partitions.enumerate_partitions(30)) == \
+        partitions.partition_count(30)
+    with pytest.raises(ValueError):
+        next(partitions.enumerate_partitions(-1))
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         partitions.partition_count(-1)
