@@ -1,12 +1,21 @@
 """Small-finite-group engine: closures, conjugacy classes, character degrees.
 
-Groups are built from a composition callback, so permutation groups, affine
-maps and matrix groups all share one code path, or from a multiplication
-table.  The callback is used only while the closure runs: it records the
-products x * g by the generators as integer right-multiplication tables,
-plus a breadth-first word tree, and everything after that (products,
-inverses, conjugacy classes, element orders, the derived subgroup) is
-index arithmetic on those tables.
+Groups are built from a composition callback (affine maps, matrix groups,
+index pairs, subgroups of a group already built), from permutations, or
+from a multiplication table.  The callback is used only while the closure
+runs: it records the products x * g by the generators as integer
+right-multiplication tables, plus a breadth-first word tree, and everything
+after that (products, inverses, conjugacy classes, element orders, the
+derived subgroup) is index arithmetic on those tables.
+
+Permutation groups get the same tables, numbering and words, but are
+closed over the stabilizer H of a point omega, with u a transversal of
+omega's orbit.  By Schreier's lemma the u_delta o g o u_(delta . g)^-1
+generate H, which the callback closure closes; by orbit-stabilizer
+(h, delta) -> h o u_delta is a bijection from H x orbit onto G.  So the
+tables of G are index arithmetic on H's, and each element of G is
+composed once (see `group_from_permutations`).
+
 Character degrees are computed by the classical modular method (Dixon):
 
 1. compute the class multiplication coefficients a_ijk, one pass over G per
@@ -326,7 +335,35 @@ def group_from_permutations(
     perms: Sequence[Sequence[int]],
     name: str = "",
 ) -> FiniteGroup:
-    """Group generated by permutations given in image notation (0-based)."""
+    """Group generated by permutations given in image notation (0-based),
+    closed over the stabilizer H of a base point omega.
+
+    The result is field for field the group that
+    `group_from_elements(perms, _compose_perms, identity)` closes: the
+    same numbering, words and tables.  But each element is composed once,
+    not once per generator, and only the Schreier generators and the
+    elements of H are hashed.  With
+    x * g = x o g, points are acted on from the right by
+    delta . g = g^-1(delta).  omega is the smallest point of a largest
+    orbit, and its orbit Delta is walked with a transversal u_omega = 1,
+    u_(delta . g) = u_delta o g, so that omega . u_delta = delta.
+
+    - Orbit-stabilizer: (h, delta) -> h o u_delta is a bijection from
+      H x Delta onto G.  Its inverse sends x to (x o u_delta^-1, delta)
+      with delta = omega . x, and x o u_delta^-1 fixes omega.  So
+      |G| = |H| |Delta| is known, and held to the order bound, before
+      any element outside H is built.
+    - Schreier's lemma: the s(delta, g) = u_delta o g o u_(delta . g)^-1,
+      over every delta in Delta and generator g, fix omega and generate
+      H.  H is closed by `group_from_elements` from the distinct ones,
+      each kept only if the closure of those kept before lacks it.
+    - (h o u_delta) o g = (h o s(delta, g)) o u_(delta . g), so each
+      product by a generator is one product in H's tables and one orbit
+      step: G's right-multiplication tables are index arithmetic on the
+      pairs (h, delta).  A breadth-first walk of them from the identity,
+      generators in input order, gives the closure's numbering and words,
+      and only then is each element built, as h o u_delta.
+    """
     if not isinstance(perms, (list, tuple)) or not all(
         isinstance(p, (list, tuple)) for p in perms
     ):
@@ -342,8 +379,127 @@ def group_from_permutations(
                 or sorted(t) != list(range(degree))):
             raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
         gens.append(t)
-    return group_from_elements(gens, _compose_perms, tuple(range(degree)),
-                               name=name)
+    identity = tuple(range(degree))
+    gens = list(dict.fromkeys(g for g in gens if g != identity))
+    if not gens:
+        return group_from_elements([], _compose_perms, identity, name=name)
+    # a generator moves a point, so degree >= 2 and itemgetter(*x) of a
+    # permutation x returns a tuple
+    limit = check_order()
+    at_least = f"at least {limit + 1}"
+    omega, orbit_size = _base_point(gens, degree)
+    check_order(orbit_size, at_least)
+
+    # The orbit walk.  steps[t][d] = (e, s): the d-th orbit point times
+    # g_t is the e-th, and the Schreier generator is the s-th of
+    # `schreier`, which holds each distinct one once.
+    inverses = [tuple(sorted(identity, key=g.__getitem__)) for g in gens]
+    at_gens = [itemgetter(*g) for g in gens]
+    position = [-1] * degree
+    position[omega] = 0
+    orbit, transversal = [omega], [identity]
+    at_u_inverse = [itemgetter(*identity)]  # x -> x o u_delta^-1
+    schreier = {identity: 0}
+    steps = [[] for _ in gens]
+    for d, delta in enumerate(orbit):
+        u = transversal[d]
+        for t, (g_inv, at_g) in enumerate(zip(inverses, at_gens)):
+            u_g = at_g(u)
+            image = g_inv[delta]
+            e = position[image]
+            if e < 0:  # a tree edge: u_(delta . g) = u_delta o g, so s = 1
+                e = position[image] = len(orbit)
+                orbit.append(image)
+                transversal.append(u_g)
+                # u_(delta . g)^-1 = g^-1 o u_delta^-1
+                at_u_inverse.append(itemgetter(*at_u_inverse[d](g_inv)))
+                s = 0
+            else:
+                s = schreier.setdefault(at_u_inverse[e](u_g), len(schreier))
+            steps[t].append((e, s))
+    del at_u_inverse  # |Delta| permutations, like the transversal
+
+    stabilizer = group_from_elements([], _compose_perms, identity)
+    members = {identity: 0}
+    kept = []
+    for s in schreier:
+        if s not in members:
+            kept.append(s)
+            stabilizer = group_from_elements(kept, _compose_perms, identity)
+            members = {x: i for i, x in enumerate(stabilizer.elements)}
+            check_order(stabilizer.order * len(orbit), at_least)
+    m = stabilizer.order
+    # x -> x s in H for each Schreier generator s
+    rho = [stabilizer.right_regular(members[s]) for s in schreier]
+
+    # pair (h, delta_d) is code d m + h; the identity is code 0
+    order = m * len(orbit)
+    pair_right = []
+    for steps_t in steps:
+        table = []
+        for e, s in steps_t:
+            table.extend(map((e * m).__add__, rho[s]))
+        pair_right.append(table)
+    new_index = [-1] * order
+    new_index[0] = 0
+    codes, words = [0], [()]
+    right = [[] for _ in gens]
+    for x, code in enumerate(codes):
+        for t, (pair_right_t, right_t) in enumerate(zip(pair_right, right)):
+            y = pair_right_t[code]
+            j = new_index[y]
+            if j < 0:
+                j = new_index[y] = len(codes)
+                codes.append(y)
+                words.append(words[x] + (t,))
+            right_t.append(j)
+    del pair_right, new_index  # before the elements, the bulk of the memory
+    if len(codes) != order:
+        raise ConsistencyError(
+            f"{len(codes)} elements reached, but |H| |Delta| = {order}"
+        )
+
+    h_elements = stabilizer.elements
+    at_u = [itemgetter(*u) for u in transversal]
+    elements = [at_u[d](h_elements[h])
+                for d, h in (divmod(code, m) for code in codes)]
+    for t, g in enumerate(gens):
+        if elements[right[t][0]] != g:
+            raise ConsistencyError(
+                f"the identity times generator {t} is not generator {t}"
+            )
+    return FiniteGroup(
+        elements=elements,
+        identity=0,
+        inverse=_inverse_table(right, words),
+        generators=[right_t[0] for right_t in right],
+        name=name,
+        _right=right,
+        _words=words,
+    )
+
+
+def _base_point(gens: list[tuple], degree: int) -> tuple[int, int]:
+    """The smallest point of a largest orbit of <gens>, and the size of
+    that orbit.  Orbits are walked from their smallest points in
+    increasing order, and a later orbit replaces the best only if it is
+    strictly larger."""
+    seen = [False] * degree
+    best, best_size = 0, 0
+    for start in range(degree):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:
+            for g in gens:
+                y = g[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        if len(orbit) > best_size:
+            best, best_size = start, len(orbit)
+    return best, best_size
 
 
 def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:

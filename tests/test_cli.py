@@ -444,6 +444,21 @@ def test_sieve_past_its_bound_is_refused_before_it_is_allocated(argv):
                            "bound 10000000\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["torus-search", "--nmax", "100000"],
+    ["torus-search", "--nmax", "401", "--reconcile"],
+])
+def test_torus_rank_past_its_bound_is_refused_up_front(argv):
+    start = time.perf_counter()
+    proc = _run_capped(argv, timeout=20)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    rank = argv[2]
+    assert proc.stderr == (f"error: rank {rank} exceeds the torus rank "
+                           "bound 400\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--pi", "20000000"], "pi(20000000) exceeds the partition bound 5000"),
     (["--k", "100000", "100000"],

@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import time
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -201,6 +202,100 @@ def test_closure_limit_guard():
     with mock.patch.object(engine, "DEFAULT_ORDER_LIMIT", 10):
         with pytest.raises(SizeLimitError, match="engine bound"):
             engine.group_from_permutations([tuple(range(1, 12)) + (0,)])
+
+
+def test_s8_from_raw_permutations_is_refused_with_the_closure_message():
+    """S8 (order 40320) has a point stabilizer S7 of order 5040, so the
+    refusal comes from the stabilizer's closure or from |H| |orbit|, with
+    the message the closure of G itself gave."""
+    cycle = tuple(list(range(1, 8)) + [0])
+    swap = (1, 0, 2, 3, 4, 5, 6, 7)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError) as refused:
+        engine.group_from_permutations([cycle, swap])
+    assert time.perf_counter() - start < 1
+    assert str(refused.value) == (
+        "group order at least 5001 exceeds engine bound 5000")
+
+
+def _closed_by_callback(perms):
+    """The reference: the generic closure, one composition and one hash
+    per element and generator."""
+    identity = tuple(range(len(perms[0])))
+    return engine.group_from_elements(
+        [tuple(p) for p in perms], engine._compose_perms, identity)
+
+
+def _assert_same_closure(perms):
+    try:
+        expected = _closed_by_callback(perms)
+    except SizeLimitError as exc:
+        with pytest.raises(SizeLimitError) as refused:
+            engine.group_from_permutations(perms)
+        assert str(refused.value) == str(exc)
+        return
+    g = engine.group_from_permutations(perms)
+    for name in ("elements", "_right", "_words", "inverse", "generators",
+                 "identity"):
+        assert getattr(g, name) == getattr(expected, name), name
+
+
+def _psl2_generators(q):
+    """x -> x + 1 and x -> -1/x on the projective line, infinity = q."""
+    t = [(x + 1) % q for x in range(q)] + [q]
+    s = [q] + [(-pow(x, -1, q)) % q for x in range(1, q)] + [0]
+    return [t, s]
+
+
+def _vxa_generators():
+    product = constructions.semidirect_product_permutations(
+        constructions.build_gamma_l(5, 19).action)
+    return [product.elements[g] for g in product.generators]
+
+
+# built inside the test, so that a closure that fails fails one case
+_STABILIZER_CLOSURE_CASES = {
+    "V x| A(5, 19)": _vxa_generators,
+    **{f"PSL(2, {q})": partial(_psl2_generators, q)
+       for q in (7, 11, 13, 17, 19)},
+    "S6": lambda: [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]],
+    "A6": lambda: [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]],
+    "degree 1": lambda: [[0]],
+    "trivial": lambda: [[0, 1, 2], [0, 1, 2]],
+}
+
+
+@pytest.mark.parametrize("name", _STABILIZER_CLOSURE_CASES)
+def test_stabilizer_closure_matches_the_callback_closure(name):
+    _assert_same_closure(_STABILIZER_CLOSURE_CASES[name]())
+
+
+@st.composite
+def _generating_sets(draw):
+    """1 to 3 random permutations of at most 9 points, perhaps with the
+    identity put in and one of them repeated.  Points below `cut` and from
+    `cut` on are permuted apart, so 0 < cut < degree gives an intransitive
+    group."""
+    degree = draw(st.integers(min_value=1, max_value=9))
+    cut = draw(st.integers(min_value=0, max_value=degree))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        low, high = list(range(cut)), list(range(cut, degree))
+        rng.shuffle(low)
+        rng.shuffle(high)
+        gens.append(low + high)
+    if draw(st.booleans()):
+        gens.insert(rng.randrange(len(gens) + 1), list(range(degree)))
+    if draw(st.booleans()):
+        gens.append(rng.choice(gens))
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generating_sets())
+def test_stabilizer_closure_matches_on_random_generating_sets(perms):
+    _assert_same_closure(perms)
 
 
 def test_closure_rejects_a_composition_without_inverses():

@@ -1,6 +1,7 @@
 import pytest
 
 from ppchars import torus_search
+from ppchars.errors import SizeLimitError
 from ppchars.landau import is_perfect_square, is_prime
 
 
@@ -141,3 +142,9 @@ def test_search_report():
     assert "S4(4)" in labels and "O8^-(2)" in labels
     iso = {r["label"]: r["iso_note"] for r in report.rows}
     assert iso.get("L2(4)") == "A5" and iso.get("L2(9)") == "A6"
+
+
+def test_rank_bound_is_inclusive_and_refused_past():
+    assert torus_search.search(4, torus_search.N_MAX_LIMIT)
+    with pytest.raises(SizeLimitError, match="torus rank bound"):
+        torus_search.search(4, torus_search.N_MAX_LIMIT + 1)
