@@ -13,8 +13,9 @@ closed over the stabilizer H of a point omega, with u a transversal of
 omega's orbit.  By Schreier's lemma the u_delta o g o u_(delta . g)^-1
 generate H, which the callback closure closes; by orbit-stabilizer
 (h, delta) -> h o u_delta is a bijection from H x orbit onto G.  So the
-tables of G are index arithmetic on H's, and each element of G is
-composed once (see `group_from_permutations`).
+tables of G are index arithmetic on H's, and no element of G outside H is
+kept: the group's `elements` compose h o u_delta each time one is read
+(see `group_from_permutations`).
 
 Character degrees are computed by the classical modular method (Dixon):
 
@@ -55,13 +56,16 @@ import math
 import random
 from dataclasses import dataclass, field
 from collections import Counter
+from collections.abc import Callable, Sequence
 from itertools import chain
-from operator import add, itemgetter
-from typing import Callable, Sequence
+from operator import add, eq, itemgetter
 
 from .errors import ConsistencyError, EngineSplitError, SizeLimitError
 from .landau import is_prime
-from .modlinalg import distinct_roots, krylov_minpoly, pack, slot_width, unpack
+from .modlinalg import (
+    distinct_roots, krylov_columns, krylov_minpoly_packed, pack, slot_width,
+    unpack,
+)
 
 DEFAULT_ORDER_LIMIT = 5000
 DEFAULT_CLASS_LIMIT = 80
@@ -94,10 +98,12 @@ class FiniteGroup:
     `_words[j]` lists the positions t in `generators`, left to right, of
     the generators whose product is j: its path in the breadth-first tree
     of the closure.  No element-to-index map is kept; a caller that needs
-    one builds it from `elements`.
+    one builds it from `elements`.  A permutation group keeps no element
+    list either: its `elements` compose element i each time it is read,
+    so a caller that reads them more than once keeps its own copy.
     """
 
-    elements: list
+    elements: Sequence
     identity: int
     inverse: list[int]
     generators: list[int]
@@ -258,6 +264,7 @@ def group_from_elements(
     mul: Callable,
     identity,
     name: str = "",
+    subgroup_index: int = 1,
 ) -> FiniteGroup:
     """Close a generating set under an associative composition callback.
 
@@ -265,8 +272,12 @@ def group_from_elements(
     products x * g the closure computes anyway are kept as integer tables,
     and the callback is not used once the closure is done: inverses come
     from the tables too.  The closure stops at the engine's order bound.
+    A subgroup of known index k in a group held to that bound is refused
+    past bound // k elements, with the larger group's message: its order
+    is then at least k (bound // k + 1) > bound.
     """
     limit = check_order()
+    most = limit // subgroup_index
     elements = [identity]
     index = {identity: 0}
     gen_elems = []
@@ -280,7 +291,7 @@ def group_from_elements(
             y = mul(x, g)
             y_idx = index.get(y)
             if y_idx is None:
-                if len(elements) >= limit:
+                if len(elements) >= most:
                     check_order(limit + 1, f"at least {limit + 1}")
                 y_idx = index[y] = len(elements)
                 elements.append(y)
@@ -340,9 +351,9 @@ def group_from_permutations(
 
     The result is field for field the group that
     `group_from_elements(perms, _compose_perms, identity)` closes: the
-    same numbering, words and tables.  But each element is composed once,
-    not once per generator, and only the Schreier generators and the
-    elements of H are hashed.  With
+    same numbering, words and tables, and elements equal entry by entry.
+    But no element outside H is composed while the group is built, and
+    only the Schreier generators and the elements of H are hashed.  With
     x * g = x o g, points are acted on from the right by
     delta . g = g^-1(delta).  omega is the smallest point of a largest
     orbit, and its orbit Delta is walked with a transversal u_omega = 1,
@@ -356,13 +367,18 @@ def group_from_permutations(
     - Schreier's lemma: the s(delta, g) = u_delta o g o u_(delta . g)^-1,
       over every delta in Delta and generator g, fix omega and generate
       H.  H is closed by `group_from_elements` from the distinct ones,
-      each kept only if the closure of those kept before lacks it.
+      each kept only if the closure of those kept before lacks it.  H has
+      index |Delta| in G, so each closure stops past bound // |Delta|
+      elements.
     - (h o u_delta) o g = (h o s(delta, g)) o u_(delta . g), so each
       product by a generator is one product in H's tables and one orbit
       step: G's right-multiplication tables are index arithmetic on the
       pairs (h, delta).  A breadth-first walk of them from the identity,
-      generators in input order, gives the closure's numbering and words,
-      and only then is each element built, as h o u_delta.
+      generators in input order, gives the closure's numbering and words.
+    - The elements are not built: `elements` keeps each one's pair code,
+      H's elements and the transversal, and composes h o u_delta whenever
+      element i is read.  Nothing downstream reads them; the engine works
+      on the tables.
     """
     if not isinstance(perms, (list, tuple)) or not all(
         isinstance(p, (list, tuple)) for p in perms
@@ -386,9 +402,8 @@ def group_from_permutations(
     # a generator moves a point, so degree >= 2 and itemgetter(*x) of a
     # permutation x returns a tuple
     limit = check_order()
-    at_least = f"at least {limit + 1}"
     omega, orbit_size = _base_point(gens, degree)
-    check_order(orbit_size, at_least)
+    check_order(orbit_size, f"at least {limit + 1}")
 
     # The orbit walk.  steps[t][d] = (e, s): the d-th orbit point times
     # g_t is the e-th, and the Schreier generator is the s-th of
@@ -425,9 +440,9 @@ def group_from_permutations(
     for s in schreier:
         if s not in members:
             kept.append(s)
-            stabilizer = group_from_elements(kept, _compose_perms, identity)
+            stabilizer = group_from_elements(
+                kept, _compose_perms, identity, subgroup_index=len(orbit))
             members = {x: i for i, x in enumerate(stabilizer.elements)}
-            check_order(stabilizer.order * len(orbit), at_least)
     m = stabilizer.order
     # x -> x s in H for each Schreier generator s
     rho = [stabilizer.right_regular(members[s]) for s in schreier]
@@ -453,16 +468,13 @@ def group_from_permutations(
                 codes.append(y)
                 words.append(words[x] + (t,))
             right_t.append(j)
-    del pair_right, new_index  # before the elements, the bulk of the memory
+    del pair_right, new_index  # |G| (|S| + 1) ints, not needed past the walk
     if len(codes) != order:
         raise ConsistencyError(
             f"{len(codes)} elements reached, but |H| |Delta| = {order}"
         )
 
-    h_elements = stabilizer.elements
-    at_u = [itemgetter(*u) for u in transversal]
-    elements = [at_u[d](h_elements[h])
-                for d, h in (divmod(code, m) for code in codes)]
+    elements = _PermutationElements(codes, stabilizer.elements, transversal)
     for t, g in enumerate(gens):
         if elements[right[t][0]] != g:
             raise ConsistencyError(
@@ -477,6 +489,41 @@ def group_from_permutations(
         _right=right,
         _words=words,
     )
+
+
+class _PermutationElements(Sequence):
+    """The elements of a permutation group closed over a point stabilizer
+    H, read on demand: element i has pair code d |H| + h and is the
+    permutation h o u_delta_d, composed each time it is read.  Indexing,
+    iteration and `in` behave as on the list of the composed elements,
+    which is never kept, and the sequence equals any sequence with the
+    same entries in the same order."""
+
+    def __init__(self, codes: list[int], h_elements: list[tuple],
+                 transversal: list[tuple]):
+        self._codes = codes
+        self._h_elements = h_elements
+        self._m = len(h_elements)
+        # (h o u)(x) = h(u(x)): h read at the positions u
+        self._at_u = [itemgetter(*u) for u in transversal]
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i: int) -> tuple:
+        d, h = divmod(self._codes[i], self._m)
+        return self._at_u[d](self._h_elements[h])
+
+    def __iter__(self):
+        at_u, h_elements, m = self._at_u, self._h_elements, self._m
+        for code in self._codes:
+            d, h = divmod(code, m)
+            yield at_u[d](h_elements[h])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 def _base_point(gens: list[tuple], degree: int) -> tuple[int, int]:
@@ -741,9 +788,10 @@ def _class_matrices(
     return triples
 
 
-def _krylov_split(v: list[int], combo, L: int, rng) -> list[list[int]]:
+def _krylov_split(v: list[int], columns: list[int], L: int, rng) -> list[list[int]]:
     """Split a cluster vector v into its projections onto the eigenspaces
-    of combo, one per eigenvalue that v sees.
+    of combo, one per eigenvalue that v sees.  combo comes as its columns
+    packed by `modlinalg.krylov_columns`, once for every split of a round.
 
     With mu the minimal polynomial of v, of degree r, and z one of its r
     roots, q_z = mu / (x - z) kills every eigenspace but z's, so
@@ -757,7 +805,7 @@ def _krylov_split(v: list[int], combo, L: int, rng) -> list[list[int]]:
     every z, exactly.  Also checked: mu has r distinct roots, no y_z
     vanishes, and the projections sum to v.
     """
-    mu, powers = krylov_minpoly(combo, v, L)
+    mu, powers = krylov_minpoly_packed(columns, v, L)
     r = len(mu) - 1
     c = len(v)
     width = slot_width((r + 1) * L * L)
@@ -876,10 +924,10 @@ def _identity_projections(
             if w:
                 for j, k, a in triples:
                     combo[j][k] += w * a
-        combo = [[x % L for x in row] for row in combo]
+        columns = krylov_columns(combo, L)
         still_open = []
         for v, support in unsettled:
-            pieces = _krylov_split(v, combo, L, rng)
+            pieces = _krylov_split(v, columns, L, rng)
             supports = [
                 sum(x * t for x, t in zip(y, weights)) % L for y in pieces
             ]

@@ -200,7 +200,26 @@ def solve_in_span(basis: list[list], targets: list[list], p: int) -> list[list]:
 
 def krylov_minpoly(a: Matrix, v: list, p: int) -> tuple[Poly, list[list]]:
     """Minimal polynomial mu of v under a over F_p, and the powers
-    v, a v, ..., a^r v with r = deg mu.
+    v, a v, ..., a^r v with r = deg mu (see `krylov_minpoly_packed`)."""
+    return krylov_minpoly_packed(krylov_columns(a, p), v, p)
+
+
+def krylov_columns(a: Matrix, p: int) -> list[int]:
+    """The columns of the square matrix a, reduced mod p and packed at the
+    slot width of `krylov_minpoly_packed`, so that one matrix is packed
+    once for the Krylov sequences of many vectors."""
+    width = slot_width((len(a) + 2) * p * p)
+    if not all(0 <= min(row) and max(row) < p for row in a):
+        a = [[x % p for x in row] for row in a]
+    return [pack(column, width) for column in zip(*a)]
+
+
+def krylov_minpoly_packed(
+    columns: list[int], v: list, p: int
+) -> tuple[Poly, list[list]]:
+    """Minimal polynomial mu of v over F_p under the matrix a whose
+    columns `krylov_columns` packed, and the powers v, a v, ..., a^r v
+    with r = deg mu.
 
     Each new power is reduced against the echelon rows of the earlier
     ones, whose expressions as polynomials in a applied to v are carried
@@ -221,9 +240,6 @@ def krylov_minpoly(a: Matrix, v: list, p: int) -> tuple[Poly, list[list]]:
     width = slot_width((c + 2) * p * p)
     bits = 8 * width
     mask = (1 << bits) - 1
-    if not all(0 <= min(row) and max(row) < p for row in a):
-        a = [[x % p for x in row] for row in a]
-    columns = [pack(column, width) for column in zip(*a)]
     powers = [[x % p for x in v]]
     rows = []  # (shift to the pivot slot, complement of the normalized row)
     while True:

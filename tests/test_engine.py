@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import time
+import tracemalloc
 from functools import partial
 from unittest import mock
 
@@ -296,6 +297,103 @@ def _generating_sets(draw):
 @given(_generating_sets())
 def test_stabilizer_closure_matches_on_random_generating_sets(perms):
     _assert_same_closure(perms)
+
+
+_ELEMENT_VIEW_CASES = {
+    name: _STABILIZER_CLOSURE_CASES[name]
+    for name in ("V x| A(5, 19)", "PSL(2, 13)", "S6", "trivial")
+}
+
+
+@pytest.mark.parametrize("name", _ELEMENT_VIEW_CASES)
+def test_element_view_reads_like_the_closure_list(name):
+    """A permutation group's elements are composed when read; as a
+    sequence they behave like the callback closure's list."""
+    perms = _ELEMENT_VIEW_CASES[name]()
+    expected = _closed_by_callback(perms).elements
+    elements = engine.group_from_permutations(perms).elements
+    n = len(expected)
+    assert len(elements) == n
+    assert list(elements) == expected
+    assert elements == expected and expected == elements
+    assert not elements != expected and not expected != elements
+    assert elements != expected[:-1] + [tuple(reversed(expected[-1]))]
+    rng = random.Random(11)
+    for i in rng.sample(range(n), min(n, 25)) + [0, n - 1]:
+        assert elements[i] == expected[i]
+        assert elements[i - n] == expected[i]
+        assert expected[i] in elements
+    for i in (n, n + 7, -n - 1):
+        with pytest.raises(IndexError):
+            elements[i]
+    degree = len(expected[0])
+    swap = (1, 0) + tuple(range(2, degree))  # in S6 alone of these groups
+    assert (swap in elements) == (swap in expected)
+    assert tuple(range(degree + 1)) not in elements
+
+
+def test_permutation_group_keeps_no_element_list():
+    """V x| A(5, 19) has 3610 elements on 361 points, 10.6 MB as tuples;
+    built, it retains under 4 MB: tables, words and the transversal."""
+    gens = _vxa_generators()
+    tracemalloc.start()
+    try:
+        group = engine.group_from_permutations(gens)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert group.order == 3610
+    assert retained < 4_000_000
+
+
+def test_degrees_compose_no_permutation():
+    """The engine works on the index tables alone: once V x| A(5, 19) is
+    built, its degrees read no element and compose no permutation of its
+    361 points (`right_regular` composes index maps of length 3610)."""
+    gens = _vxa_generators()
+    group, degree = engine.group_from_permutations(gens), len(gens[0])
+    view = type(group.elements)
+    counts = {"points": 0, "reads": 0}
+    compose = engine._compose_perms
+
+    def counting_compose(a, b):
+        counts["points"] += len(b) == degree
+        return compose(a, b)
+
+    def counting(method):
+        def read(self, *args):
+            counts["reads"] += 1
+            return method(self, *args)
+        return read
+
+    with mock.patch.object(engine, "_compose_perms", counting_compose), \
+            mock.patch.object(view, "__getitem__", counting(view.__getitem__)), \
+            mock.patch.object(view, "__iter__", counting(view.__iter__)):
+        degrees = engine.irreducible_degrees(group)
+    assert degrees.pprime_count(5) == 4  # 2 sqrt(5 - 1): the bound is sharp
+    assert counts == {"points": 0, "reads": 0}
+
+
+def test_s8_refusal_stops_the_stabilizer_closure_at_its_share():
+    """S8 acts on an orbit of 8 points, so its point stabilizer S7 may
+    hold at most 5000 // 8 = 625 elements: its closure is refused at the
+    626th element, not the 5001st, with the message for S8 itself."""
+    cycle = tuple(list(range(1, 8)) + [0])
+    swap = (1, 0, 2, 3, 4, 5, 6, 7)
+    built = set()
+    compose = engine._compose_perms
+
+    def counting(a, b):
+        product = compose(a, b)
+        built.add(product)
+        return product
+
+    with mock.patch.object(engine, "_compose_perms", counting):
+        with pytest.raises(SizeLimitError) as refused:
+            engine.group_from_permutations([cycle, swap])
+    assert str(refused.value) == (
+        "group order at least 5001 exceeds engine bound 5000")
+    assert 0 < len(built) <= 626
 
 
 def test_closure_rejects_a_composition_without_inverses():

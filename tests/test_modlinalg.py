@@ -194,17 +194,20 @@ def test_krylov_split_matches_nullspace():
                     for i in range(n)]
             if any(proj):
                 expected.append(proj)
-        pieces = engine._krylov_split(v, a, p, random.Random(0))
+        pieces = engine._krylov_split(
+            v, ml.krylov_columns(a, p), p, random.Random(0))
         assert sorted(pieces) == sorted(expected)
         assert len(pieces) == r
         split += r >= 3
     assert split >= 10
     jordan = [[2, 1], [0, 2]]  # mu = (x - 2)^2
     with pytest.raises(ConsistencyError):
-        engine._krylov_split([0, 1], jordan, p, random.Random(0))
+        engine._krylov_split([0, 1], ml.krylov_columns(jordan, p), p,
+                              random.Random(0))
     rotation = [[0, 6], [1, 0]]  # mu = x^2 + 1, no root mod 7
     with pytest.raises(ConsistencyError):
-        engine._krylov_split([1, 0], rotation, p, random.Random(0))
+        engine._krylov_split([1, 0], ml.krylov_columns(rotation, p), p,
+                              random.Random(0))
 
 
 def test_krylov_split_with_wide_slots():
@@ -217,7 +220,8 @@ def test_krylov_split_with_wide_slots():
     a = _conjugate_by_random(
         [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], p, rng)
     v = [rng.randrange(p) for _ in range(n)]
-    pieces = engine._krylov_split(v, a, p, random.Random(0))
+    pieces = engine._krylov_split(
+        v, ml.krylov_columns(a, p), p, random.Random(0))
     assert len(pieces) == len(set(diag))
     assert [sum(col) % p for col in zip(*pieces)] == v
     for y in pieces:
