@@ -34,9 +34,11 @@ Character degrees are computed by the classical modular method (Dixon):
    is settled and never split again.  Each round draws one random
    combination A of the M_i and splits every open cluster vector v by its
    Krylov sequence v, A v, A^2 v, ...: the first dependency gives v's
-   minimal polynomial mu, its roots z come from a gcd with x^L - x and
-   equal-degree splitting, and (mu / (x - z))(A) v is a multiple of the
-   projection of v onto A's z-eigenspace.  Every split is checked in
+   minimal polynomial mu; its roots z come from mu at every unit of F_L,
+   evaluated by chirp products, or, where L is large against deg mu,
+   from a gcd with x^L - x and equal-degree splitting
+   (`modlinalg.distinct_roots`); and (mu / (x - z))(A) v is a multiple of
+   the projection of v onto A's z-eigenspace.  Every split is checked in
    exact arithmetic, the supports of the pieces must add up to the
    parent's, and the rounds stop when every cluster is settled;
 4. each cluster, normalized at the identity class, gives the central

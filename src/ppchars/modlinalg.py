@@ -19,6 +19,7 @@ from itertools import chain
 from operator import mul
 
 from .errors import ConsistencyError
+from .landau import factorize
 
 Matrix = tuple  # tuple of row tuples; the eliminations also accept lists
 Poly = list  # coefficients, low degree first
@@ -34,7 +35,7 @@ Poly = list  # coefficients, low degree first
 # substitution), as long as no slot value reaches 2^(8 w): there is no
 # carry between slots, so no reduction mod p is needed until the unpack.
 # Each caller proves a bound on every slot value it makes and takes w from
-# `slot_width`.  Eight-byte slots go through `struct` at C speed.
+# `slot_width`.  Four- and eight-byte slots go through `struct` at C speed.
 
 def slot_width(bound: int) -> int:
     """Bytes per slot for values below bound: 8 whenever bound <= 2^64."""
@@ -42,15 +43,15 @@ def slot_width(bound: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _quads(n: int) -> struct.Struct:
-    """The compiled format of n eight-byte slots, reused across calls."""
-    return struct.Struct(f"<{n}Q")
+def _slots(n: int, width: int) -> struct.Struct:
+    """The compiled format of n slots of 4 or 8 bytes, reused across calls."""
+    return struct.Struct(f"<{n}{'I' if width == 4 else 'Q'}")
 
 
 def pack(xs, width: int = 8) -> int:
     """The ints xs, each in [0, 2^(8 width)), as slots of one int."""
-    if width == 8:
-        return int.from_bytes(_quads(len(xs)).pack(*xs), "little")
+    if width in (4, 8):
+        return int.from_bytes(_slots(len(xs), width).pack(*xs), "little")
     return int.from_bytes(
         b"".join(x.to_bytes(width, "little") for x in xs), "little"
     )
@@ -65,8 +66,8 @@ def unpack(x: int, n: int, width: int = 8) -> tuple[int, ...]:
         raise ConsistencyError(
             f"a packed value does not fit {n} slots of {width} bytes"
         ) from None
-    if width == 8:
-        return _quads(n).unpack(data)
+    if width in (4, 8):
+        return _slots(n, width).unpack(data)
     return tuple(int.from_bytes(data[i:i + width], "little")
                  for i in range(0, n * width, width))
 
@@ -120,7 +121,7 @@ def row_reduce(a: Matrix, p: int) -> tuple[list[tuple], list[int]]:
     tuples, and their pivot columns.  The rows depend only on the row
     space of a.
 
-    Packed, as in `krylov_minpoly`: each row of a is one int, reduced
+    Packed, as in `krylov_minpoly_packed`: each row of a is one int, reduced
     against the echelon rows found before it, so that it ends at zero in
     each of their pivot columns.  A row normalized to 1 at its pivot is
     kept as its complement p - row, and t times the row is subtracted by
@@ -196,12 +197,6 @@ def solve_in_span(basis: list[list], targets: list[list], p: int) -> list[list]:
     if len(pivots) > k:
         raise ConsistencyError("target outside span in solve_in_span")
     return [[row[k + j] for row in rows] for j in range(len(targets))]
-
-
-def krylov_minpoly(a: Matrix, v: list, p: int) -> tuple[Poly, list[list]]:
-    """Minimal polynomial mu of v under a over F_p, and the powers
-    v, a v, ..., a^r v with r = deg mu (see `krylov_minpoly_packed`)."""
-    return krylov_minpoly_packed(krylov_columns(a, p), v, p)
 
 
 def krylov_columns(a: Matrix, p: int) -> list[int]:
@@ -387,10 +382,13 @@ def poly_gcd(f: Poly, g: Poly, p: int) -> Poly:
 # packed.  Measured with Python 3.11 on a shared 2-vCPU Xeon host, raising
 # x + a to (p - 1) / 2 modulo 30 random dense moduli, p = 4561 and 45233,
 # schoolbook over packed time: 0.84 at degree 2, 1.0 at 3, 1.2-1.35 at 4,
-# 2.0 at 8 and 6.5-8.5 at 32.  But `solvable --p 37 --r 2897` makes 2920
-# Rabin tests on sparse degree-6 candidates: 3.4-3.6 s with this bound at
-# 8, 5.1 s at 6 and 5.3-5.8 s at 4, while the engine_table groups took the
-# same time at 6 and 8.
+# 2.0 at 8 and 6.5-8.5 at 32.  Two callers remain.  The field build of
+# `constructions` tests sparse candidates for irreducibility:
+# `solvable --p 37 --r 2897` makes 2920 Rabin tests on degree-6 ones,
+# 3.4-3.6 s with this bound at 8, 5.1 s at 6 and 5.3-5.8 s at 4.  The
+# Cantor-Zassenhaus route of `distinct_roots` runs only where
+# p > ROOT_SWEEP_FACTOR * deg f, so on moduli of small degree in a large
+# field, where both kernels take well under a millisecond a power.
 POWMOD_PACKED_DEGREE = 8
 
 
@@ -467,12 +465,122 @@ def poly_sub(f: Poly, g: Poly, p: int) -> Poly:
     return poly_trim([(a - b) % p for a, b in zip(f, g)])
 
 
+# distinct_roots sweeps every unit of F_p when p <= ROOT_SWEEP_FACTOR *
+# deg f, and splits f by Cantor-Zassenhaus otherwise.  A sweep is about
+# p / SWEEP_BLOCK big-int products and O(p) cheap Python steps, whatever
+# deg f; the splitting is about deg f modular powers of O(deg f) big-int
+# steps each, times log p.  Measured with Python 3.11 on a shared 2-vCPU
+# Xeon host, on products of deg f distinct linear factors, medians of 11
+# runs in ms (the whole grid is in BENCH_root_sweep.json):
+#
+#     p      deg f   sweep   splitting   p / deg f
+#     4561      4     0.82     0.60        1140
+#     4561      8     0.85     0.99         570
+#     6841      8     1.24     1.56         855
+#     27581    16     6.65     3.29        1724
+#     27581    28     7.97     9.25         985
+#     45233    32    14.1      6.95        1414
+#     45233    48    16.6     10.7          942
+#     45233    67    18.7     18.1          675
+#
+# So the routes cross near p / deg f = 1000 up to p = 27581, and near 650
+# at p = 45233; at 1024 the chosen route is within 1.6x of the faster one
+# on the whole grid.  Cantor-Zassenhaus stays: it is the only route at
+# p = 2^61 - 1, and at small degree in a large field it is far faster
+# (0.29 against 9.0 ms at p = 45233, deg f = 2).
+ROOT_SWEEP_FACTOR = 1024
+# units per product of a sweep, which bounds the ints it holds at once
+SWEEP_BLOCK = 512
+
+
 def distinct_roots(f: Poly, p: int, rng: random.Random) -> list[int]:
-    """All roots of f in F_p (odd p), via gcd with the field polynomial
-    followed by Cantor-Zassenhaus equal-degree splitting."""
+    """The sorted distinct roots of f in F_p, for a prime p.  A repeated
+    root comes back once, a factor with no root adds none, and a constant
+    has none.  The route is chosen by p and deg f alone (see
+    `ROOT_SWEEP_FACTOR`); only the Cantor-Zassenhaus route, which needs
+    p odd, draws from rng.
+
+    The sweep, for p <= ROOT_SWEEP_FACTOR * deg f, evaluates f of degree
+    d at every unit g^k, k = 0 .. p - 2, for the least primitive root g,
+    by Bluestein's chirp transform on packed polynomials.  With
+    T(m) = m (m - 1) / 2, j k = T(j + k) - T(j) - T(k), so
+
+        f(g^k) = sum_j f_j g^(j k) = g^(-T(k)) sum_j a_j b_(j+k)
+
+    with a_j = f_j g^(-T(j)) and b_m = g^T(m), and no square root of g is
+    needed.  The sums for k = s .. s + n - 1 are the slots
+    d .. d + n - 1 of one product: a reversed (d + 1 slots) times
+    b_s .. b_(s+n+d-1).  Each slot sums at most d + 1 products of
+    residues, so it stays below (d + 1) p^2, and `unpack` raises if that
+    bound is wrong.  g^(-T(k)) is a unit, so g^k is a root iff its slot is
+    0 mod p, and 0 is a root iff f_0 = 0.  The units go by in blocks of
+    n = SWEEP_BLOCK, each block keeping the last d values of b for the
+    next, so that a sweep holds O(SWEEP_BLOCK + d) ints, not O(p).  b is
+    built by two multiplications per step, g^T(m+1) = g^T(m) g^m.
+
+    The splitting takes the gcd of f with x^p - x, the product of the
+    distinct linear factors of f, and splits it by Cantor-Zassenhaus.
+    """
     f = poly_trim([x % p for x in f])
     if poly_deg(f) == 0:
         return []
+    if p <= ROOT_SWEEP_FACTOR * poly_deg(f):
+        return _roots_by_sweep(f, p)
+    return _roots_by_splitting(f, p, rng)
+
+
+@lru_cache(maxsize=64)
+def _primitive_root(p: int) -> int:
+    """The least generator of the units of F_p: g^((p-1)/q) != 1 for each
+    prime q dividing p - 1."""
+    primes = factorize(p - 1)
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+
+
+def _roots_by_sweep(f: Poly, p: int) -> list[int]:
+    """The roots of a reduced, trimmed f of degree d >= 1 in F_p, from f
+    at every unit by chirp products, a block of units each (see
+    `distinct_roots`)."""
+    d = poly_deg(f)
+    g = _primitive_root(p)
+    g_inv = pow(g, -1, p)
+    a, step, chirp = [], 1, 1  # g^(-j) and g^(-T(j))
+    for fj in f:
+        a.append(fj * chirp % p)
+        chirp = chirp * step % p
+        step = step * g_inv % p
+    bound = (d + 1) * p * p
+    # 4-byte slots where they fit: a product, whose cost grows with the
+    # product of the operands' sizes, then takes a third of the time of
+    # 8-byte ones
+    width = 4 if bound <= 1 << 32 else slot_width(bound)
+    reversed_a = pack(a[::-1], width)
+    block = max(SWEEP_BLOCK, d)  # so that the d values carried over are few
+    roots = [0] if f[0] == 0 else []
+    b, step, chirp = [], 1, 1  # step and chirp: g^m and g^T(m), next m
+    for start in range(0, p - 1, block):
+        n = min(block, p - 1 - start)  # the units g^start .. g^(start+n-1)
+        # b_start .. b_(start+n+d-1); the last block left the first d
+        for _ in range(n + d - len(b)):
+            b.append(chirp)
+            chirp = chirp * step % p
+            step = step * g % p
+        slots = unpack(reversed_a * pack(b, width), n + 2 * d, width)
+        residues = [x % p for x in slots[d:d + n]]
+        k = -1
+        for _ in range(residues.count(0)):
+            k = residues.index(0, k + 1)
+            roots.append(pow(g, start + k, p))
+        del b[:n]
+    roots.sort()
+    return roots
+
+
+def _roots_by_splitting(f: Poly, p: int, rng: random.Random) -> list[int]:
+    """The roots of a reduced, trimmed f of degree >= 1 in F_p (odd p),
+    via gcd with the field polynomial followed by Cantor-Zassenhaus
+    equal-degree splitting."""
     xp = poly_powmod([0, 1], p, f, p)
     g = poly_gcd(poly_sub(xp, [0, 1], p), f, p)
     roots = []

@@ -175,6 +175,8 @@ def verify_symmetric_bounds(n_max: int, primes=None) -> Report:
 
     n = 6 rows are flagged (Aut(A_6) is bigger than S_6, so downstream
     alternating-group arguments treat it separately), but still checked.
+    A sweep that would check nothing, with n_max < 2 or no requested
+    prime at most n_max, is refused with ValueError: it proves nothing.
     """
     if n_max > ORACLE_BOUND:
         raise SizeLimitError(f"oracle bound is n <= {ORACLE_BOUND}, got {n_max}")
@@ -182,6 +184,10 @@ def verify_symmetric_bounds(n_max: int, primes=None) -> Report:
     for p in sorted(wanted or ()):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    if wanted is not None and not any(p <= n_max for p in wanted):
+        raise ValueError(f"no requested prime is at most n_max = {n_max}")
     rows = []
     for n in range(1, n_max + 1):
         for p in primes_up_to(n):

@@ -2,9 +2,12 @@
 `ppchars.modlinalg`, and the fixed-space lattice as it was computed before
 the class transport: one nullspace per element of A, and one meet per
 representative and fixed space.  None of this shares code with the packed
-path."""
+path, apart from `krylov_minpoly`, the packed Krylov sequence of one
+matrix and vector that the tests call."""
 
 from operator import mul
+
+from ppchars.modlinalg import krylov_columns, krylov_minpoly_packed
 
 
 def mat_mul(a, b, p):
@@ -34,6 +37,13 @@ def mat_inv(a, p):
                 t = aug[r][col]
                 aug[r] = [(x - t * y) % p for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def krylov_minpoly(a, v, p):
+    """Minimal polynomial mu of v under a over F_p, and the powers
+    v, a v, ..., a^r v with r = deg mu, by the packed kernels: a's columns
+    packed once, then `krylov_minpoly_packed`."""
+    return krylov_minpoly_packed(krylov_columns(a, p), v, p)
 
 
 def row_reduce(a, p):

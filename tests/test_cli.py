@@ -100,6 +100,22 @@ def test_non_prime_p_is_refused():
         assert err.getvalue() == f"error: {p} is not prime\n", argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--max-n", "1"], "n_max must be at least 2, got 1"),
+    (["--max-n", "0"], "n_max must be at least 2, got 0"),
+    (["--max-n", "-3"], "n_max must be at least 2, got -3"),
+    (["--max-n", "10", "--primes", "11"],
+     "no requested prime is at most n_max = 10"),
+])
+def test_empty_symmetric_sweep_is_refused(argv, message):
+    # a sweep that checks nothing is refused, not reported as a pass
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["verify-symmetric"] + argv)
+    assert code == 1 and out == "", argv
+    assert err.getvalue() == f"error: {message}\n", argv
+
+
 def test_bounds_modes():
     for flags in (["--table1"], ["--table2"], ["--defining"]):
         code, out = run_cli(["bounds"] + flags)

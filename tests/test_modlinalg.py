@@ -172,7 +172,7 @@ def test_krylov_split_matches_nullspace():
         v = [rng.randrange(p) for _ in range(n)]
         if not any(v):
             continue
-        mu, powers = ml.krylov_minpoly(a, v, p)
+        mu, powers = lk.krylov_minpoly(a, v, p)
         r = len(mu) - 1
         assert mu[-1] == 1 and len(powers) == r + 1
         assert _rank(powers[:r], p) == r
@@ -341,7 +341,7 @@ def test_krylov_minpoly_matches_list_elimination():
             for a in mats:
                 v = [rng.randrange(p) for _ in range(c)]
                 for vec in (v, [0] * c, [1] + [0] * (c - 1))[:3 if c < 40 else 2]:
-                    mu, powers = ml.krylov_minpoly(a, vec, p)
+                    mu, powers = lk.krylov_minpoly(a, vec, p)
                     assert (mu, powers) == _krylov_reference(a, vec, p)
                     assert mu[-1] == 1
 
@@ -374,7 +374,7 @@ def test_kernels_at_their_slot_bounds():
     for p in (4561, 2**31 - 1, 2**61 - 1):
         a = [[p - 1] * c for _ in range(c)]
         for v in ([p - 1] * c, [1] + [0] * (c - 1)):
-            assert ml.krylov_minpoly(a, v, p) == _krylov_reference(a, v, p)
+            assert lk.krylov_minpoly(a, v, p) == _krylov_reference(a, v, p)
         base, f = [p - 1] * n, [p - 1] * n + [1]
         for e in (2, 3, 1000):
             assert ml.poly_powmod(base, e, f, p) == _powmod_reference(base, e, f, p)
@@ -420,3 +420,74 @@ def test_distinct_roots_of_eighty_linear_factors():
         for z in roots:
             f = ml.poly_mul(f, [(-z) % p, 1], p)
         assert ml.distinct_roots(f, p, rng) == roots
+
+
+def _with_roots(roots, p):
+    f = [1]
+    for z in roots:
+        f = ml.poly_mul(f, [(-z) % p, 1], p)
+    return f
+
+
+@pytest.mark.parametrize("p", [3, 5, 31, 101, 241, 4561, 45233])
+def test_root_sweep_and_splitting_agree(p):
+    """The chirp sweep and Cantor-Zassenhaus on the same polynomials, with
+    degrees on both sides of ROOT_SWEEP_FACTOR: distinct linear factors,
+    the same times a quadratic with no root, a squared factor, and a root
+    at 0, each scaled by a unit.  Both give the sorted distinct roots, a
+    scan of F_p where p is small, and `distinct_roots` gives the same."""
+    rng = random.Random(p)
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    quadratic = [(-n) % p, 0, 1]
+    threshold = p // ml.ROOT_SWEEP_FACTOR + 1  # least degree that sweeps
+    sizes = sorted({1, 2, 3, min(p, 7), min(p, threshold - 1),
+                    min(p, threshold), min(p, threshold + 4)} - {0})
+    routes = set()
+    for size in sizes:
+        roots = sorted(rng.sample(range(p), size))
+        with_zero = sorted(set(rng.sample(range(1, p), size - 1)) | {0})
+        cases = [
+            (_with_roots(roots, p), roots),
+            (ml.poly_mul(_with_roots(roots, p), quadratic, p), roots),
+            (_with_roots(roots + roots[:1], p), roots),
+            (_with_roots(with_zero, p), with_zero),
+        ]
+        for f, expected in cases:
+            unit = rng.randrange(1, p)
+            f = [x * unit % p for x in f]
+            if p <= 241:
+                assert expected == [
+                    z for z in range(p)
+                    if sum(c * pow(z, i, p) for i, c in enumerate(f)) % p == 0
+                ]
+            assert ml._roots_by_sweep(f, p) == expected
+            assert ml._roots_by_splitting(f, p, random.Random(0)) == expected
+            assert ml.distinct_roots(f, p, random.Random(1)) == expected
+            routes.add(p <= ml.ROOT_SWEEP_FACTOR * ml.poly_deg(f))
+    assert routes == ({True} if p <= ml.ROOT_SWEEP_FACTOR else {True, False})
+    for constant in ([0], [1], [p - 1], [2 % p, 0, 0], [p, 2 * p]):
+        assert ml.distinct_roots(constant, p, rng) == []
+
+
+def test_roots_in_a_wide_field_build_no_table_over_it(monkeypatch):
+    """At p = 2^61 - 1 the roots come from splitting: a sweep would build
+    slots for every unit, so here it fails at once if it is called, and
+    tracemalloc bounds what the call allocates."""
+    import tracemalloc
+
+    def no_sweep(f, p):
+        raise AssertionError(f"sweep over F_{p}")
+
+    monkeypatch.setattr(ml, "_roots_by_sweep", no_sweep)
+    p = 2**61 - 1
+    roots = [0, 3, 5, p - 1, 2**40 + 7]
+    f = ml.poly_mul(_with_roots(roots, p), [p - 3, 0, 1], p)  # 3 is no square
+    assert pow(3, (p - 1) // 2, p) == p - 1
+    tracemalloc.start()
+    try:
+        found = ml.distinct_roots(f, p, random.Random(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == sorted(roots)
+    assert peak < 1 << 20
