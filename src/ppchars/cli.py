@@ -95,8 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--e8-d1", action="store_true")
     p.add_argument("--family", choices=lie_bounds.FAMILIES)
     p.add_argument("--qmax", type=int, default=None)
-    p.add_argument("--rank-max", type=int, default=lie_bounds.DEFAULT_RANK_MAX)
-    p.add_argument("--fmax", type=int, default=lie_bounds.DEFAULT_F_MAX)
+    p.add_argument("--rank-max", type=int, default=None,
+                   help=f"default {lie_bounds.DEFAULT_RANK_MAX}")
+    p.add_argument("--fmax", type=int, default=None,
+                   help=f"default {lie_bounds.DEFAULT_F_MAX}")
     p.add_argument("--failures-only", action="store_true",
                    help="emit only failing rows")
 
@@ -301,22 +303,33 @@ def _cmd_landau(args) -> Report:
                   counters={"count": len(rows)})
 
 
+# the grid options each `bounds` mode reads; the others are refused
+_BOUNDS_OPTIONS = {"table1": (), "table2": (), "defining": (),
+                   "classical": ("family", "qmax", "rank_max", "fmax"),
+                   "e8_d1": ("qmax",)}
+
+
 def _cmd_bounds(args) -> Report:
-    # an explicit --qmax, even 0, reaches the check; else its own default
-    q_max = {} if args.qmax is None else {"q_max": args.qmax}
-    if args.table1:
-        return lie_bounds.table1_report()
-    if args.table2:
-        return lie_bounds.verify_table2()
-    if args.defining:
-        return lie_bounds.defining_char_check()
-    if args.classical:
+    mode = next(m for m in _BOUNDS_OPTIONS if getattr(args, m))
+    reads = _BOUNDS_OPTIONS[mode]
+    for option in _BOUNDS_OPTIONS["classical"]:
+        if getattr(args, option) is not None and option not in reads:
+            raise UsageError(f"--{option.replace('_', '-')} does not apply "
+                             f"to --{mode.replace('_', '-')}")
+    # an explicit value, even 0, reaches the check; else its own default
+    grid = {name: value for name, value in (("q_max", args.qmax),
+                                            ("rank_max", args.rank_max),
+                                            ("f_max", args.fmax))
+            if value is not None}
+    if mode == "classical":
         if not args.family:
             raise UsageError("--classical needs --family")
-        return lie_bounds.classical_inequality_check(
-            args.family, rank_max=args.rank_max, f_max=args.fmax, **q_max
-        )
-    return lie_bounds.e8_d1_check(**q_max)
+        return lie_bounds.classical_inequality_check(args.family, **grid)
+    if mode == "e8_d1":
+        return lie_bounds.e8_d1_check(**grid)
+    return {"table1": lie_bounds.table1_report,
+            "table2": lie_bounds.verify_table2,
+            "defining": lie_bounds.defining_char_check}[mode]()
 
 
 def _cmd_torus(args) -> Report:

@@ -21,8 +21,9 @@ Character degrees are computed by the classical modular method (Dixon):
 
 1. compute the class multiplication coefficients a_ijk, one pass over G per
    class representative z_k through the right-regular permutation
-   x -> x z_k, composed from the generator tables along z_k's word; only
-   the nonzero a_ijk are kept, as (j, k, a_ijk) per class i;
+   y -> y z_k, composed from the generator tables along z_k's word, with
+   the maps of word prefixes shared between representatives; only the
+   nonzero a_ijk are kept, as (j, k, a_ijk) per class i;
 2. pick a prime L = 1 (mod exponent of G) with L > |G|, so that F_L
    contains all needed roots of unity and every degree-squared value is
    read off exactly;
@@ -773,20 +774,51 @@ def _class_matrices(
 ) -> list[list[tuple[int, int, int]]]:
     """Structure constants a_ijk with K_i K_j = sum_k a_ijk K_k, as one
     list per class i of its nonzero (j, k, a_ijk).  a_ijk counts the x in
-    K_i with x^-1 z_k in K_j, read off the right-regular permutation of
-    z_k: the classes of x^-1 z_k for all x come from two itemgetter calls,
-    and Counter counts the codes i c + j.  Needs |G| > 1, since
-    itemgetter of one index returns a bare entry."""
+    K_i with x^-1 z_k in K_j; under x = y^-1 these are the y with y^-1 in
+    K_i and y z_k in K_j.  So the right-regular map y -> y z_k, read
+    through class_of by one itemgetter call, gives the classes of y z_k,
+    and Counter counts the codes i c + j, with i from `inverse_class`.
+
+    A table group reads each map as a table column.  A closure-built group
+    visits the representatives in sorted word order, so that a word comes
+    after its prefixes, and keeps on a stack the maps y -> y w of the
+    proper prefixes w of the word in hand: each distinct proper prefix
+    costs one composition, and no more maps are alive at once than the
+    longest word has letters.  The last letter t is folded into the
+    classes of y g_t, one itemgetter call per generator.  Needs |G| > 1,
+    since itemgetter of one index returns a bare entry."""
     c = len(cc.reps)
     class_of = cc.class_of
-    at_inverse = itemgetter(*group.inverse)
-    row_codes = [i * c for i in class_of]
+    # the code of the class of y^-1 for each y, one int object per class
+    row_codes = itemgetter(*class_of)([i * c for i in cc.inverse_class])
     triples: list[list[tuple[int, int, int]]] = [[] for _ in range(c)]
-    for k, zk in enumerate(cc.reps):
-        classes = itemgetter(*at_inverse(group.right_regular(zk)))(class_of)
+
+    def count(k: int, classes: tuple[int, ...]) -> None:
         for code, a in Counter(map(add, row_codes, classes)).items():
             i, j = divmod(code, c)
             triples[i].append((j, k, a))
+
+    if group._table is not None:
+        for k, zk in enumerate(cc.reps):
+            count(k, itemgetter(*group.right_regular(zk))(class_of))
+        return triples
+    right, words = group._right, group._words
+    times_generator = [itemgetter(*right_t)(class_of) for right_t in right]
+    stack: list[tuple[int, Sequence[int]]] = []  # (w_n, y -> y w_0 ... w_n)
+    for k in sorted(range(c), key=lambda k: words[cc.reps[k]]):
+        word = words[cc.reps[k]]
+        if not word:
+            count(k, class_of)
+            continue
+        n = 0
+        while n < min(len(stack), len(word) - 1) and stack[n][0] == word[n]:
+            n += 1
+        del stack[n:]
+        for t in word[n:-1]:
+            stack.append(
+                (t, itemgetter(*stack[-1][1])(right[t]) if stack else right[t]))
+        last = times_generator[word[-1]]
+        count(k, itemgetter(*stack[-1][1])(last) if stack else last)
     return triples
 
 

@@ -381,14 +381,16 @@ def e8_d1_check(q_max: int = 4096) -> Report:
     Compared exactly as (q-1)^16 > |W(E8)|^2 * 4 f^2 (p-1).  The f factor
     bounds log_p(q) only when r <= p; each row therefore also carries the
     strictly dominating variant with f replaced by ceil(log_p q), computed
-    by integer powering.
+    by integer powering.  A grid with no prime power to check is refused
+    with ValueError, not reported as a pass.
     """
     q_min = 1001
+    grid = [(r, f, q) for r, f, q in prime_powers(q_max) if q >= q_min]
+    if not grid:
+        raise ValueError(f"no prime power q with {q_min} <= q <= {q_max}")
     rows = []
     w2 = E8_WEYL_ORDER * E8_WEYL_ORDER
-    for r, f, q in prime_powers(q_max):
-        if q < q_min:
-            continue
+    for r, f, q in grid:
         for p in _prime_divisors_ge5(q - 1):
             lhs = (q - 1) ** 16
             ok = lhs > w2 * 4 * f * f * (p - 1)

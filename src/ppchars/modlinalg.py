@@ -35,10 +35,19 @@ Poly = list  # coefficients, low degree first
 # substitution), as long as no slot value reaches 2^(8 w): there is no
 # carry between slots, so no reduction mod p is needed until the unpack.
 # Each caller proves a bound on every slot value it makes and takes w from
-# `slot_width`.  Four- and eight-byte slots go through `struct` at C speed.
+# `slot_width`: 4 bytes where the bound fits 32 bits, else 8 bytes where it
+# fits 64, else as many as it needs.  The engine's Krylov and elimination
+# slots, below (c + 2) L^2 with c <= 80 classes, take 4 bytes at every
+# splitting prime L < 7200.  Four- and eight-byte slots go through
+# `struct` at C speed, and a big-int product, whose cost grows with the
+# product of its operands' sizes, takes about a third of the time on
+# 4-byte slots that it takes on 8-byte ones.
 
 def slot_width(bound: int) -> int:
-    """Bytes per slot for values below bound: 8 whenever bound <= 2^64."""
+    """Bytes per slot for values below bound: 4 whenever bound <= 2^32,
+    else 8 whenever bound <= 2^64."""
+    if bound <= 1 << 32:
+        return 4
     return max(8, ((bound - 1).bit_length() + 7) // 8)
 
 
@@ -550,11 +559,7 @@ def _roots_by_sweep(f: Poly, p: int) -> list[int]:
         a.append(fj * chirp % p)
         chirp = chirp * step % p
         step = step * g_inv % p
-    bound = (d + 1) * p * p
-    # 4-byte slots where they fit: a product, whose cost grows with the
-    # product of the operands' sizes, then takes a third of the time of
-    # 8-byte ones
-    width = 4 if bound <= 1 << 32 else slot_width(bound)
+    width = slot_width((d + 1) * p * p)
     reversed_a = pack(a[::-1], width)
     block = max(SWEEP_BLOCK, d)  # so that the d values carried over are few
     roots = [0] if f[0] == 0 else []

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import ppchars
+from ppchars import lie_bounds
 from ppchars.cli import build_parser, main
 from ppchars.report import Report
 
@@ -131,6 +132,48 @@ def test_bounds_qmax_zero_is_refused():
             code, out = run_cli(["bounds"] + flags + ["--qmax", "0"])
         assert code == 1 and out == "", flags
         assert err.getvalue() == "error: limit must be at least 2\n", flags
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--defining", "--qmax", "2"], "--qmax does not apply to --defining"),
+    (["--table1", "--rank-max", "3"], "--rank-max does not apply to --table1"),
+    (["--table2", "--fmax", "2"], "--fmax does not apply to --table2"),
+    (["--defining", "--family", "a"], "--family does not apply to --defining"),
+    (["--e8-d1", "--rank-max", "3"], "--rank-max does not apply to --e8-d1"),
+    (["--e8-d1", "--fmax", "2"], "--fmax does not apply to --e8-d1"),
+    (["--e8-d1", "--family", "bc", "--qmax", "2000"],
+     "--family does not apply to --e8-d1"),
+])
+def test_bounds_option_its_mode_does_not_read_is_refused(argv, message):
+    # an option that would be dropped is a usage error, not a default report
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["bounds"] + argv)
+    assert code == 2 and out == "", argv
+    assert err.getvalue() == f"error: {message}\n", argv
+
+
+@pytest.mark.parametrize("qmax", [2, 10, 1000, 1008])
+def test_empty_e8_grid_is_refused(qmax):
+    # no prime power q with 1001 <= q <= qmax: the check would pass on 0 rows
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["bounds", "--e8-d1", "--qmax", str(qmax)])
+    assert code == 1 and out == ""
+    assert err.getvalue() == f"error: no prime power q with 1001 <= q <= {qmax}\n"
+
+
+def test_bounds_classical_defaults_fill_in_for_absent_options():
+    argv = ["bounds", "--classical", "--family", "a", "--qmax", "32"]
+    code, out = run_cli(argv)
+    explicit = ["--rank-max", str(lie_bounds.DEFAULT_RANK_MAX),
+                "--fmax", str(lie_bounds.DEFAULT_F_MAX)]
+    code_explicit, out_explicit = run_cli(argv + explicit)
+    assert code_explicit == code == 0
+    assert without_elapsed(out_explicit) == without_elapsed(out)
+    assert json.loads(out)["parameters"] == {
+        "family": "a", "q_max": 32, "rank_max": lie_bounds.DEFAULT_RANK_MAX,
+        "f_max": lie_bounds.DEFAULT_F_MAX}
 
 
 def test_bounds_classical_failures_only():

@@ -482,29 +482,110 @@ def test_index_mul_and_right_regular_match_callback():
             ]
 
 
+def _tuple_formula(g, cc, right_multiplier, invert):
+    """The sorted nonzero (j, k, a_ijk) of each class i, for
+    a_ijk = #{x in K_i : x^-1 z_k in K_j}, with x^-1 z_k formed from the
+    elements themselves rather than from the index tables.  The inverses
+    from the index tables must match the element-level ones too."""
+    c = len(cc.reps)
+    expected = [[[0] * c for _ in range(c)] for _ in range(c)]
+    elements = list(g.elements)
+    index = {x: i for i, x in enumerate(elements)}
+    inverses = [invert(x) for x in elements]
+    assert [index[x] for x in inverses] == g.inverse, g.name
+    for k, zk in enumerate(cc.reps):
+        times_z = right_multiplier(elements[zk])
+        for x, x_inv in enumerate(inverses):
+            j = cc.class_of[index[times_z(x_inv)]]
+            expected[cc.class_of[x]][j][k] += 1
+    return [
+        sorted((j, k, a) for j, row in enumerate(mat)
+               for k, a in enumerate(row) if a)
+        for mat in expected
+    ]
+
+
 def test_class_matrices_match_tuple_formula():
-    """a_ijk = #{x in K_i : x^-1 z_k in K_j}, with x^-1 z_k formed from the
-    elements themselves rather than from the index tables; the engine
-    lists the nonzero (j, k, a_ijk) of each class i, each once.  The
-    inverses from the index tables match the element-level ones too."""
+    """The engine lists the nonzero (j, k, a_ijk) of each class i, each
+    once, as the tuple formula counts them."""
     for g, (right_multiplier, invert) in _criterion_8_corpus():
         cc = engine.conjugacy_classes(g)
-        c = len(cc.reps)
-        expected = [[[0] * c for _ in range(c)] for _ in range(c)]
-        index = {x: i for i, x in enumerate(g.elements)}
-        inverses = [invert(x) for x in g.elements]
-        assert [index[x] for x in inverses] == g.inverse, g.name
-        for k, zk in enumerate(cc.reps):
-            times_z = right_multiplier(g.elements[zk])
-            for x, x_inv in enumerate(inverses):
-                j = cc.class_of[index[times_z(x_inv)]]
-                expected[cc.class_of[x]][j][k] += 1
-        sparse = [
-            sorted((j, k, a) for j, row in enumerate(mat)
-                   for k, a in enumerate(row) if a)
-            for mat in expected
-        ]
-        assert [sorted(t) for t in engine._class_matrices(g, cc)] == sparse, g.name
+        expected = _tuple_formula(g, cc, right_multiplier, invert)
+        assert [sorted(t) for t in engine._class_matrices(g, cc)] == expected, g.name
+
+
+def _relabeled_psl27_table():
+    """PSL(2, 7) as a Cayley table with its elements relabeled by a random
+    permutation, so that the identity is not at index 0."""
+    table = _table(engine.group_from_permutations(_psl2_generators(7)))
+    n = len(table)
+    sigma = list(range(n))  # new -> old
+    random.Random(41).shuffle(sigma)
+    sigma_inv = [0] * n
+    for new, old in enumerate(sigma):
+        sigma_inv[old] = new
+    return engine.group_from_table(
+        [[sigma_inv[table[sigma[a]][sigma[b]]] for b in range(n)]
+         for a in range(n)])
+
+
+def _table_ops(g):
+    """x -> x z and x -> x^-1 read off the Cayley table alone."""
+    table = g._table
+    e = next(i for i, row in enumerate(table) if row == tuple(range(len(table))))
+    return lambda z: lambda x: table[x][z], lambda x: table[x].index(e)
+
+
+_PREFIX_WALK_CASES = {
+    "V x| A(5, 19)": lambda: (
+        engine.group_from_permutations(_vxa_generators()),
+        (lambda z: operator.itemgetter(*z), _perm_invert)),
+    "PSL(2, 19)": lambda: (
+        engine.group_from_permutations(_psl2_generators(19)),
+        (lambda z: operator.itemgetter(*z), _perm_invert)),
+    "F(37, 6)": lambda: (
+        constructions.build_frobenius(37, 6)[0], _affine_right_multiplier(37)),
+    "PSL(2, 7) table": lambda: (
+        (g := _relabeled_psl27_table()), _table_ops(g)),
+}
+
+
+@pytest.mark.parametrize("name", _PREFIX_WALK_CASES)
+def test_class_matrices_by_prefix_walk_match_tuple_formula(name):
+    """The prefix walk shares the maps of common word prefixes; on groups
+    where one representative's word is a proper prefix of another's it
+    still counts what the tuple formula counts.  A table group reads its
+    columns instead, with the identity away from index 0."""
+    g, (right_multiplier, invert) = _PREFIX_WALK_CASES[name]()
+    cc = engine.conjugacy_classes(g)
+    if g._words is not None:
+        words = [g._words[r] for r in cc.reps]
+        assert any(v != w and v[:len(w)] == w for w in words if w for v in words)
+    else:
+        assert g.identity != 0
+    expected = _tuple_formula(g, cc, right_multiplier, invert)
+    assert [sorted(t) for t in engine._class_matrices(g, cc)] == expected
+
+
+def test_class_matrices_keep_one_map_per_letter_of_the_word_in_hand():
+    """V x| A(5, 19) has 67 representative words with 92 distinct proper
+    prefixes, none longer than 8 letters; each prefix map holds 3610
+    indices, about 29 KB.  Beyond the structure constants it returns,
+    the class matrices allocate at their peak under 1 MB: the maps of
+    one word, not the 3.8 MB that all 130 prefix maps would take."""
+    g = engine.group_from_permutations(_vxa_generators())
+    cc = engine.conjugacy_classes(g)
+    words = [g._words[r] for r in cc.reps]
+    assert len({w[:n] for w in words for n in range(1, len(w))}) == 92
+    assert max(map(len, words)) == 9
+    tracemalloc.start()
+    try:
+        mats = engine._class_matrices(g, cc)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mats) == 67
+    assert peak - retained < 1_000_000
 
 
 def test_table_groups_get_small_generating_sets():

@@ -257,7 +257,7 @@ KERNEL_PRIMES = (2, 3, 241, 4561, 45233, 2**61 - 1)  # the last needs 16-byte sl
 
 def test_pack_roundtrip_and_overflow():
     rng = random.Random(23)
-    for width in (8, 9, 16):
+    for width in (4, 8, 9, 16):
         top = 1 << 8 * width
         xs = [rng.randrange(top) for _ in range(rng.randrange(0, 40))] + [top - 1]
         assert list(ml.unpack(ml.pack(xs, width), len(xs), width)) == xs
@@ -265,6 +265,8 @@ def test_pack_roundtrip_and_overflow():
             ml.unpack(ml.pack(xs, width), len(xs) - 1, width)
         with pytest.raises(ConsistencyError):
             ml.unpack(-1, len(xs), width)
+    assert ml.slot_width(2**32) == 4
+    assert ml.slot_width(2**32 + 1) == 8
     assert ml.slot_width(2**64) == 8
     assert ml.slot_width(2**64 + 1) == 9
 
@@ -385,6 +387,27 @@ def test_kernels_at_their_slot_bounds():
                 _assert_eliminations_match(rows, p)
     assert ml.slot_width(4 * (2**31 - 1) ** 2) == 8
     assert ml.slot_width(64 * (2**61 - 1) ** 2) == 16
+
+
+@pytest.mark.parametrize("p, width", [(32749, 4), (32771, 8)])
+def test_kernels_at_the_four_byte_edge(p, width):
+    """The largest prime with 4 p^2 < 2^32 and the least one past it.  All
+    residues p - 1, so that a product of 4 by 4 matrices and the square of
+    a polynomial of 4 terms reach 4 (p - 1)^2, which is past 2^32 at
+    p = 32771: a 4-byte slot there would overflow.  The eliminations and
+    the Krylov sequence of 2 by 2 matrices have the bound 4 p^2 as well,
+    and run on the c = 2 staircases."""
+    assert ml.slot_width(4 * p * p) == width
+    a = [[p - 1] * 4 for _ in range(4)]
+    assert ml.mat_mul(a, a, p) == lk.mat_mul(a, a, p)
+    base, f = [p - 1] * 4, [p - 1] * 4 + [1]
+    for e in (2, 3, 1000):
+        assert ml.poly_powmod(base, e, f, p) == _powmod_reference(base, e, f, p)
+    for rows in _staircase(2, p):
+        _assert_eliminations_match(rows, p)
+        for v in ([p - 1, p - 1], [1, 0]):
+            assert lk.krylov_minpoly(rows, v, p) == _krylov_reference(rows, v, p)
+    _assert_eliminations_match(a, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 643, 2**31 - 1, 2**61 - 1])
