@@ -47,7 +47,7 @@ print(f"dual orbit sizes: {dict(sorted(sizes.items()))}")
 print()
 
 print("engine cross-check on the explicit order-3610 permutation group...")
-report = engine_cross_check(built, p)
+report = engine_cross_check(built.action, p)
 row = report.rows[0]
 print(f"  status: {report.status}; {row['classes']} classes, "
       f"p'-count {row['pprime_count']}, sum d^2 = {row['sum_of_squares']}")

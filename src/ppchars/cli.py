@@ -288,7 +288,7 @@ def _cmd_solvable(args) -> Report:
     rows = [row]
     if args.cross_check:
         rows += constructions.engine_cross_check(
-            built, p, seed=args.seed, clifford=clifford
+            built.action, p, seed=args.seed, clifford=clifford
         ).rows
     return Report("solvable", {"p": p, "r": r, "cross_check": args.cross_check},
                   rows)

@@ -3,10 +3,10 @@
 Two families are built here, each with two independent degree computations
 (a closed-form Clifford-theory count and the generic degree engine):
 
-* the Frobenius group H = C_p x| C_m for m | p-1, realized by affine maps
-  x -> a^j x + b on Z/p with a of multiplicative order exactly m; for a
-  Landau prime p and m = sqrt(p-1) this is the group attaining the
-  2*sqrt(p-1) bound, with degree multiset {1^m, m^((p-1)/m)};
+* the Frobenius group H = C_p x| C_m for m | p-1, on the pairs (b, j) of
+  the affine maps x -> a^j x + b of Z/p with a of multiplicative order
+  exactly m; for a Landau prime p and m = sqrt(p-1) this is the group
+  attaining the 2*sqrt(p-1) bound, with degree multiset {1^m, m^((p-1)/m)};
 
 * the solvable witness G = V x| A, where V is the field with r^m elements
   viewed as an m-dimensional space over F_r, and A <= GammaL_1(r^m) is
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import modlinalg as ml
@@ -68,24 +69,37 @@ class FrobeniusParams:
 
 
 def build_frobenius(p: int, m: int) -> tuple[FiniteGroup, FrobeniusParams]:
-    """C_p x| C_m as affine maps x -> a^j x + b on Z/p."""
+    """C_p x| C_m with twist a: the pair (b, j) is the affine map
+    x -> a^j x + b on Z/p."""
     check_order(p * m)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1 or (p - 1) % m != 0:
         raise ValueError(f"no element of order {m} in (Z/{p})^*")
-    a = _order_m_element(p, m)
-    params = FrobeniusParams(p, m, a)
+    params = FrobeniusParams(p, m, _order_m_element(p, m))
+    return metacyclic_group(p, m, params.a, name=f"F({p},{m})"), params
+
+
+def metacyclic_group(p: int, m: int, twist: int, name: str = "") -> FiniteGroup:
+    """<z, f | z^p, f^m, f z f^-1 = z^twist> on the pairs (i, j) of its
+    normal form z^i f^j, closed from z = (1, 0) and f = (0, 1 mod m).
+
+    f^j z^k = z^(twist^j k) f^j gives the law (i, j)(k, l) =
+    (i + twist^j k mod p, j + l mod m).  The closure must reach all pm
+    pairs, and `validate` proves the law associative (so twist^m = 1 mod
+    p).  The pairs then satisfy the relations, and they are as many as the
+    normal forms, pm, so they are the presented group.
+    """
+    powers = [pow(twist, j, p) for j in range(m)]
 
     def mul(x, y):
-        return ((x[0] * y[0]) % p, (x[0] * y[1] + x[1]) % p)
+        return (x[0] + powers[x[1]] * y[0]) % p, (x[1] + y[1]) % m
 
-    group = group_from_elements(
-        [(a % p, 0), (1, 1)], mul, (1, 0), name=f"F({p},{m})"
-    )
+    group = group_from_elements([(1, 0), (0, 1 % m)], mul, (0, 0), name=name)
     if group.order != p * m:
-        raise ConsistencyError(f"Frobenius closure has order {group.order}")
-    return group, params
+        raise ConsistencyError(f"C_{p} x| C_{m} has order {group.order}")
+    group.validate()
+    return group
 
 
 def frobenius_degree_multiset(params: FrobeniusParams) -> DegreeMultiset:
@@ -128,13 +142,15 @@ class LinearGroupAction:
     """A finite group acting by invertible dim x dim matrices over F_ell.
 
     matrices[i] is the image of group element i; the map need not be
-    faithful.  |group| must be coprime to ell.
+    faithful.  |group| must be coprime to ell.  Its maker proves the map a
+    homomorphism: `validate` for a listed action, and `build_gamma_l` for
+    A by its presentation, with matrices formed only when read.
     """
 
     ell: int
     dim: int
     group: FiniteGroup
-    matrices: tuple[ml.Matrix, ...]
+    matrices: Sequence[ml.Matrix]
 
     def validate(self) -> None:
         """Check that g -> matrices[g] is a homomorphism, exactly.
@@ -217,8 +233,15 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
     * the Frobenius map normalizes P, centralizes none of P \\ {1}, and
       C_A(P) = P.
 
-    A itself is closed by index arithmetic on its normal form, with no
-    matrix product in the closure (`_normal_form_group`).
+    A is `metacyclic_group(p, m, r)`, whose pair (i, j) acts by Z^i F^j,
+    formed when read.  Its presentation proves the action faithful, with
+    no product or comparison of the pm matrices.  By von Dyck's theorem,
+    Z^p = I, F^m = I (`_matrix_powers`) and F Z = Z^r F (checked below)
+    make (i, j) -> Z^i F^j a homomorphism.  As r^j != 1 mod p for
+    0 < j < m, A is a Frobenius group with kernel <z>: a normal subgroup
+    holding z^i f^j with j != 0 holds its commutator with z, a nontrivial
+    power of z, so each nontrivial normal subgroup contains <z>.  Z != I,
+    so the kernel is trivial and the pm matrices are distinct.
     """
     if not is_prime(p) or not is_perfect_square(p - 1) or p < 5:
         raise ValueError(f"{p} is not a Landau prime >= 5")
@@ -263,15 +286,13 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
 
     zeta_powers = _matrix_powers(mult_matrix, p, r)
     frob_powers = _matrix_powers(frob_matrix, m, r)
-    group = _normal_form_group(
-        p, r, zeta_powers, frob_powers,
-        name=f"GammaL1({r}^{m}) order {p}*{m}",
-    )
     _verify_gamma_l_invariants(p, r, zeta_powers, frob_powers)
+    group = metacyclic_group(p, m, r, name=f"GammaL1({r}^{m}) order {p}*{m}")
+    matrices = _NormalFormMatrices(group.elements, zeta_powers, frob_powers, r)
     return GammaLConstruction(
         p=p, m=m, r=r, modulus=tuple(modulus),
         mult_matrix=mult_matrix, frobenius_matrix=frob_matrix,
-        action=LinearGroupAction(r, m, group, tuple(group.elements)),
+        action=LinearGroupAction(r, m, group, matrices),
     )
 
 
@@ -286,42 +307,20 @@ def _matrix_powers(mat: ml.Matrix, n: int, r: int) -> list[ml.Matrix]:
     return powers
 
 
-def _normal_form_group(p, r, zeta_powers, frob_powers, name="") -> FiniteGroup:
-    """A = <zeta, phi> closed over its normal form zeta^i phi^j, labeled by
-    the matrices Z^i F^j.
+class _NormalFormMatrices(Sequence):
+    """A's matrices, read on demand: the pair (i, j) acts by Z^i F^j, one
+    product each time it is read, and no list of them is kept."""
 
-    phi zeta phi^-1 = zeta^r gives phi^j zeta^k = zeta^(r^j k) phi^j, so
-    the pairs (i, j) multiply as (i + r^j k mod p, j + l mod m); j is read
-    mod m because ord_p(r) = m.  The pair closure's left-nucleus check
-    proves this law is a group law, with no matrix product.  The pm
-    matrices are then formed from the p powers of Z and the m powers of F
-    and must be distinct, so that the pairs label A one to one; that their
-    products follow the law is what LinearGroupAction.validate checks.
-    Elements, words and right tables come in the BFS order that closing
-    the matrices Z, F themselves would give.
-    """
-    m = len(frob_powers)
-    twist = [pow(r, j, p) for j in range(m)]
+    def __init__(self, pairs, zeta_powers, frob_powers, r: int):
+        self._pairs, self._zeta_powers, self._r = pairs, zeta_powers, r
+        self._frob_packed = [ml.pack_matrix(f, r) for f in frob_powers]
 
-    def mul(x, y):
-        return (x[0] + twist[x[1]] * y[0]) % p, (x[1] + y[1]) % m
+    def __len__(self) -> int:
+        return len(self._pairs)
 
-    pairs = group_from_elements([(1, 0), (0, 1)], mul, (0, 0), name=name)
-    if pairs.order != p * m:
-        raise ConsistencyError(f"A has order {pairs.order}, expected {p * m}")
-    pairs.validate()
-    # Z^i F^j for every j from one product: Z^i [F^0 | F^1 | ...]
-    dim = len(frob_powers[0])
-    wide = ml.pack_matrix(ml.mat_hstack(frob_powers), r)
-    blocks = [ml.mat_hsplit(ml.rows_times(z, wide, r), dim) for z in zeta_powers]
-    matrices = [blocks[i][j] for i, j in pairs.elements]
-    if len(set(matrices)) != len(matrices):
-        raise ConsistencyError("the normal forms Z^i F^j are not distinct")
-    return FiniteGroup(
-        elements=matrices, identity=pairs.identity,
-        inverse=pairs.inverse, generators=pairs.generators, name=name,
-        _right=pairs._right, _words=pairs._words,
-    )
+    def __getitem__(self, g: int) -> ml.Matrix:
+        i, j = self._pairs[g]
+        return ml.rows_times(self._zeta_powers[i], self._frob_packed[j], self._r)
 
 
 def _verify_gamma_l_invariants(p, r, zeta_powers, frob_powers) -> None:
@@ -345,7 +344,7 @@ def _verify_gamma_l_invariants(p, r, zeta_powers, frob_powers) -> None:
         zeta_frob = ml.rows_times(power, frob_packed, r)
         if frob_zeta[i] == zeta_frob:
             raise ConsistencyError(f"Frobenius centralizes zeta^{i}")
-        # Frobenius normalizes P: F M F^-1 = M^r, that is F M = M^r F
+        # F Z = Z^r F, the relation of the presentation: F normalizes P
         if i == r % p and frob_zeta[1] != zeta_frob:
             raise ConsistencyError("Frobenius does not conjugate zeta to zeta^r")
 
@@ -418,17 +417,13 @@ def clifford_pprime_count(
     row per inertia type: its orbit size [A:I], |I|, the number of orbits
     and the degrees [A:I] * d that each of them contributes.
     """
-    action.validate()
     ell, dim, group = action.ell, action.dim, action.group
     size_v = ell**dim
     n = group.order
-    # inverse transpose; validate() has shown that M(g^-1) = M(g)^-1
-    dual_mats = [
-        ml.mat_transpose(action.matrices[group.inverse[g]]) for g in range(n)
-    ]
+    if math.gcd(n, ell) != 1:
+        raise ValueError("group order not coprime to the characteristic")
     conjugations = _generator_conjugations(group)
-    reps, class_size, rep_stabilizer = _fixed_space_lattice(
-        group, dual_mats, ell, conjugations)
+    reps, class_size, rep_stabilizer = _fixed_space_lattice(action, conjugations)
     conjugates = [_conjugates(conjugations, h) for h in rep_stabilizer]
     if [len(c) for c in conjugates] != class_size:
         raise ConsistencyError("space orbits and stabilizer classes differ")
@@ -479,18 +474,20 @@ def clifford_pprime_count(
     )
 
 
-def _fixed_space_lattice(group: FiniteGroup, mats: list, ell: int,
+def _fixed_space_lattice(action: LinearGroupAction,
                          conjugations: list[list[int]]):
-    """Every intersection of the fixed spaces Fix(g) = ker(M_g - I), up to A.
+    """Every intersection of the fixed spaces Fix(g) = ker(D_g - I) of the
+    dual matrices D_g = M(g^-1)^T, up to A.
 
     A space is keyed by the reduced row echelon form of a basis.  Returns
     one representative R per A-orbit of intersections, the orbit sizes,
-    and the pointwise stabilizers {g : M_g w = w on R}.
+    and the pointwise stabilizers {g : D_g w = w on R}.
 
-    Transport: Fix(t^-1 g t) = M_t^-1 Fix(g), so one nullspace per class of
+    Transport: Fix(t^-1 g t) = D_t^-1 Fix(g), so one nullspace per class of
     A is carried along the generator conjugations x -> t^-1 x t to the rest
     of the class; a class that fixes only 0 costs nothing more.  The fixed
-    spaces of a class form one A-orbit.
+    spaces of a class form one A-orbit.  So M(g^-1) is read for one g per
+    class, and M(t) per generator t: D_t^-1 is w -> w M(t) on rows.
 
     Meets: the fixed spaces F form an A-invariant set, so x R meets F in
     x (R meets x^-1 F), and meeting the representatives R with each F gives
@@ -500,18 +497,17 @@ def _fixed_space_lattice(group: FiniteGroup, mats: list, ell: int,
     where it can be new: not for R = V (it is F), nor for R or F = 0 or a
     line R (it is 0).
     """
-    dim = len(mats[0])
-    # M_t^-1 on row vectors: w -> w (M_t^-1)^T
-    carry = [ml.pack_matrix(ml.mat_transpose(mats[group.inverse[t]]), ell)
-             for t in group.generators]
+    ell, dim, group, mats = action.ell, action.dim, action.group, action.matrices
+    carry = [ml.pack_matrix(mats[t], ell) for t in group.generators]
     fixed = [None] * group.order
-    images = {}  # (fixed space, t) -> M_t^-1 (fixed space)
+    images = {}  # (fixed space, t) -> D_t^-1 (fixed space)
     orbit_of = {}  # fixed space -> its A-orbit
-    for start, mat in enumerate(mats):
+    for start in range(group.order):
         if fixed[start] is not None:
             continue
+        dual = ml.mat_transpose(mats[group.inverse[start]])
         shifted = [[(x - (i == j)) % ell for j, x in enumerate(row)]
-                   for i, row in enumerate(mat)]
+                   for i, row in enumerate(dual)]
         fixed[start] = _span_key(ml.nullspace(shifted, ell), ell)
         members = [start]
         for x in members:
@@ -649,13 +645,12 @@ def semidirect_product_permutations(action: LinearGroupAction) -> FiniteGroup:
 
 
 def engine_cross_check(
-    target, p: int, seed: int = 0, clifford: CliffordCount | None = None
+    action, p: int, seed: int = 0, clifford: CliffordCount | None = None
 ) -> Report:
     """Degrees of V x| A two ways: Clifford count vs. the degree engine on
     the explicit permutation group.  Disagreement is a hard failure.
     `clifford` hands over a count of the same action already made; it is
     counted here otherwise, after the product is built or refused."""
-    action = target.action if isinstance(target, GammaLConstruction) else target
     product = semidirect_product_permutations(action)
     if clifford is None:
         clifford = clifford_pprime_count(action, p, engine_seed=seed)

@@ -279,7 +279,8 @@ def classical_inequality_check(
     For the two orthogonal families the relative Weyl group can be an
     index-two subgroup of the full wreath product, so their binding check
     conservatively uses floor(count/2); the full-count verdict is reported
-    alongside in each row.
+    alongside in each row.  A grid with no point (q, n, d, a) to check is
+    refused with ValueError, not reported as a pass.
     """
     if family not in _FAMILY_CFG:
         raise ValueError(f"unknown family {family!r}; pick from {FAMILIES}")
@@ -304,6 +305,9 @@ def classical_inequality_check(
                     skipped_no_p += 1
                 elif checked == "nonabelian":
                     skipped_nonabelian += 1
+    if not (rows or skipped_no_p or skipped_nonabelian):
+        raise ValueError(f"no grid point for family {family} with q_max = "
+                         f"{q_max}, rank_max = {rank_max}, f_max = {f_max}")
     return Report(
         command=f"bounds --classical --family {family}",
         parameters={

@@ -163,6 +163,23 @@ def test_empty_e8_grid_is_refused(qmax):
     assert err.getvalue() == f"error: no prime power q with 1001 <= q <= {qmax}\n"
 
 
+@pytest.mark.parametrize("argv, grid", [
+    (["--rank-max", "1"], (lie_bounds.DEFAULT_Q_MAX, 1, lie_bounds.DEFAULT_F_MAX)),
+    (["--fmax", "0"], (lie_bounds.DEFAULT_Q_MAX, lie_bounds.DEFAULT_RANK_MAX, 0)),
+    (["--qmax", "2", "--rank-max", "2"], (2, 2, lie_bounds.DEFAULT_F_MAX)),
+])
+def test_empty_classical_grid_is_refused(argv, grid):
+    # no point (q, n, d, a) at all: the check would pass on 0 rows
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["bounds", "--classical", "--family", "a"] + argv)
+    assert code == 1 and out == "", argv
+    q_max, rank_max, f_max = grid
+    assert err.getvalue() == (
+        f"error: no grid point for family a with q_max = {q_max}, "
+        f"rank_max = {rank_max}, f_max = {f_max}\n")
+
+
 def test_bounds_classical_defaults_fill_in_for_absent_options():
     argv = ["bounds", "--classical", "--family", "a", "--qmax", "32"]
     code, out = run_cli(argv)

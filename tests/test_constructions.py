@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import io
 import json
@@ -16,14 +17,16 @@ import list_kernels as lk
 
 def _frobenius_action(p, m):
     """The complement C_m of H(p, m) acting on V = Z/p by multiplication,
-    closed as 1 x 1 matrices."""
+    closed as 1 x 1 matrices, and proven a homomorphism as it is made."""
     a = constructions._order_m_element(p, m)
     group = engine.group_from_elements(
         [((a % p,),)], lambda x, y: ml.mat_mul(x, y, p), ml.mat_identity(1),
         name=f"C{m} on Z/{p}",
     )
     assert group.order == m
-    return constructions.LinearGroupAction(p, 1, group, tuple(group.elements))
+    action = constructions.LinearGroupAction(p, 1, group, tuple(group.elements))
+    action.validate()
+    return action
 
 
 def _run_cli(argv):
@@ -59,6 +62,40 @@ def test_build_frobenius_257_16():
     assert len(engine.conjugacy_classes(group).reps) == 32
     multiset = constructions.frobenius_degree_multiset(params)
     assert multiset.degrees == tuple([1] * 16 + [16] * 16)
+
+
+def _affine_closure(p, m):
+    """F(p, m) closed as the affine maps x -> s x + b, written (s, b), from
+    x -> a x and x -> x + 1: a reference that shares no code with the pair
+    law."""
+    a = constructions._order_m_element(p, m)
+
+    def compose(x, y):
+        return (x[0] * y[0]) % p, (x[0] * y[1] + x[1]) % p
+
+    return a, compose, engine.group_from_elements(
+        [(a % p, 0), (1, 1)], compose, (1, 0))
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (5, 2), (5, 4), (13, 3), (17, 4),
+                                  (37, 6)])
+def test_frobenius_pairs_match_affine_closure(p, m):
+    """The pair (b, j) of build_frobenius is the affine map x -> a^j x + b:
+    the pairs and the affine closure have the same order, the map is one
+    to one onto it, and it carries every product to the product."""
+    group, params = constructions.build_frobenius(p, m)
+    a, compose, reference = _affine_closure(p, m)
+    assert params.a == a
+    assert group.order == reference.order == p * m
+    affine = [(pow(a, j, p), b) for b, j in group.elements]
+    index = {x: i for i, x in enumerate(reference.elements)}
+    at = [index[x] for x in affine]
+    assert sorted(at) == list(range(group.order))
+    for x in range(group.order):
+        for y in range(group.order):
+            product = group.mul(x, y)
+            assert affine[product] == compose(affine[x], affine[y])
+            assert at[product] == reference.mul(at[x], at[y])
 
 
 def test_frobenius_degenerate_m1():
@@ -133,32 +170,97 @@ def test_build_gamma_l_5_19():
 @pytest.mark.parametrize("p, r", [(5, 19), (17, 13), (37, 11)])
 def test_normal_form_closure_matches_matrix_closure(p, r):
     """Closing the pairs (i, j) = zeta^i phi^j gives the group that closing
-    the matrices Z, F by products gives: the same elements in the same
-    order, the same right tables, words and inverses."""
+    the matrices Z, F by products gives: the matrices Z^i F^j of the pairs
+    are its elements in the same order, with the same right tables, words
+    and inverses."""
     built = constructions.build_gamma_l(p, r)
     by_matrices = engine.group_from_elements(
         [built.mult_matrix, built.frobenius_matrix],
         lambda x, y: ml.mat_mul(x, y, r), ml.mat_identity(built.m),
     )
     group = built.action.group
-    assert group.elements == by_matrices.elements
+    assert list(built.action.matrices) == list(by_matrices.elements)
     assert group.generators == by_matrices.generators == [1, 2]
     assert group._right == by_matrices._right
     assert group._words == by_matrices._words
     assert group.inverse == by_matrices.inverse
-    assert built.action.matrices == tuple(group.elements)
 
 
 def test_normal_form_refuses_repeated_matrices():
     """If F is not the Frobenius map but the identity, the pairs still form
-    a group of order pm, but only p of the matrices Z^i F^j are distinct."""
+    a group of order pm, but only p of the matrices Z^i F^j are distinct.
+    F = I commutes with Z, and the invariant check refuses it there."""
     built = constructions.build_gamma_l(5, 19)
     zeta_powers = constructions._matrix_powers(built.mult_matrix, 5, 19)
     identity = ml.mat_identity(2)
-    with pytest.raises(ConsistencyError, match="not distinct"):
-        constructions._normal_form_group(5, 19, zeta_powers, [identity, identity])
+    with pytest.raises(ConsistencyError, match="centralizes zeta"):
+        constructions._verify_gamma_l_invariants(
+            5, 19, zeta_powers, [identity, identity])
     with pytest.raises(ConsistencyError, match="order dividing"):
         constructions._matrix_powers(built.mult_matrix, 4, 19)
+
+
+def _gamma_l_powers(p, r):
+    built = constructions.build_gamma_l(p, r)
+    return (built.m, constructions._matrix_powers(built.mult_matrix, p, r),
+            constructions._matrix_powers(built.frobenius_matrix, built.m, r))
+
+
+@pytest.mark.parametrize("p, r", [(5, 19), (17, 13), (37, 11)])
+def test_presentation_refuses_a_trivial_generator(p, r):
+    """Z = I and F = I each satisfy Z^p = I and F^m = I and the relation
+    F Z = Z^r F, so `_matrix_powers` passes them; the invariant check
+    refuses Z = I as a fixed point of zeta, which is what makes the action
+    faithful, and F = I as a Frobenius map that centralizes zeta."""
+    m, zeta_powers, frob_powers = _gamma_l_powers(p, r)
+    identity = ml.mat_identity(m)
+    assert constructions._matrix_powers(identity, p, r) == [identity] * p
+    with pytest.raises(ConsistencyError, match="nonzero fixed space"):
+        constructions._verify_gamma_l_invariants(
+            p, r, [identity] * p, frob_powers)
+    with pytest.raises(ConsistencyError, match="centralizes zeta"):
+        constructions._verify_gamma_l_invariants(
+            p, r, zeta_powers, [identity] * m)
+
+
+@pytest.mark.parametrize("p, r, k", [(17, 13, 2), (17, 13, 3), (37, 11, 5)])
+def test_presentation_refuses_the_frobenius_map_of_a_wrong_r(p, r, k):
+    """F^k is the Frobenius map x -> x^(r^k): it has order dividing m and
+    centralizes no power of zeta, but it conjugates zeta to zeta^(r^k),
+    not zeta^r, and the relation F Z = Z^r F refuses it."""
+    m, zeta_powers, frob_powers = _gamma_l_powers(p, r)
+    assert pow(r, k, p) != r % p
+    wrong = frob_powers[k]
+    wrong_powers = constructions._matrix_powers(wrong, m, r)
+    with pytest.raises(ConsistencyError, match="does not conjugate"):
+        constructions._verify_gamma_l_invariants(p, r, zeta_powers, wrong_powers)
+
+
+@pytest.mark.parametrize("p, r", [(5, 19), (17, 13)])
+def test_pair_law_with_a_shifted_twist_is_refused(p, r, monkeypatch):
+    """A pair law that twists by r^(j+1) in place of r^j is no group law:
+    (0, 0) is not even its left identity.  The closure still reaches pm
+    pairs, and the left-nucleus check of `metacyclic_group` refuses it: a
+    generator's products, read along the words, disagree with its table."""
+    monkeypatch.setattr(constructions, "pow",
+                        lambda b, e, mod: builtins.pow(b, e + 1, mod),
+                        raising=False)
+    with pytest.raises(ConsistencyError, match="disagree with its table"):
+        constructions.build_gamma_l(p, r)
+    with pytest.raises(ConsistencyError, match="disagree with its table"):
+        constructions.build_frobenius(p, math.isqrt(p - 1))
+
+
+@pytest.mark.parametrize("p, r", [(5, 19), (5, 199), (17, 13)])
+def test_presentation_proof_holds_on_the_listed_matrices(p, r):
+    """What the presentation proves, checked the long way on a listed copy
+    of A's matrices: they are distinct, and `validate` finds that they
+    multiply as their pairs do."""
+    action = constructions.build_gamma_l(p, r).action
+    listed = constructions.LinearGroupAction(
+        action.ell, action.dim, action.group, tuple(action.matrices))
+    listed.validate()
+    assert len(set(listed.matrices)) == action.group.order
 
 
 @pytest.mark.parametrize("p, r", [(5, 19), (17, 13)])
@@ -245,6 +347,7 @@ def test_clifford_gamma_l_5_19():
 def test_clifford_trivial_action():
     c2 = engine.cyclic_group(2)
     action = constructions.LinearGroupAction(3, 1, c2, (((1,),), ((1,),)))
+    action.validate()
     result = constructions.clifford_pprime_count(action, 5)
     assert result.degrees.degrees == (1, 1, 1, 1, 1, 1)
     assert result.pprime_count == 6
@@ -296,8 +399,10 @@ def _sweep_orbit_rows(action):
 
 
 def _trivial_action():
-    return constructions.LinearGroupAction(
+    action = constructions.LinearGroupAction(
         3, 1, engine.cyclic_group(2), (((1,),), ((1,),)))
+    action.validate()
+    return action
 
 
 def _klein_action():
@@ -306,7 +411,9 @@ def _klein_action():
     gens = [((1, 0, 0), (0, 2, 0), (0, 0, 2)), ((2, 0, 0), (0, 1, 0), (0, 0, 2))]
     group = engine.group_from_elements(
         gens, lambda x, y: ml.mat_mul(x, y, 3), ml.mat_identity(3), name="C2^2")
-    return constructions.LinearGroupAction(3, 3, group, tuple(group.elements))
+    action = constructions.LinearGroupAction(3, 3, group, tuple(group.elements))
+    action.validate()
+    return action
 
 
 @pytest.mark.parametrize("make_action, p", [
@@ -349,7 +456,7 @@ def test_fixed_space_lattice_matches_list_reference(make_action):
     dual = [ml.mat_transpose(action.matrices[group.inverse[g]])
             for g in range(group.order)]
     lattice = constructions._fixed_space_lattice(
-        group, dual, ell, engine._generator_conjugations(group))
+        action, engine._generator_conjugations(group))
     assert lattice == lk.fixed_space_lattice(group, dual, ell)
     if make_action is _klein_action:
         reps, _, _ = lattice
@@ -390,6 +497,9 @@ def test_action_validation_rejects_wrong_characteristic():
     action = constructions.LinearGroupAction(2, 1, c2, (((1,),), ((1,),)))
     with pytest.raises(ValueError):
         action.validate()
+    # the count checks it too, as it no longer calls validate
+    with pytest.raises(ValueError, match="not coprime"):
+        constructions.clifford_pprime_count(action, 5)
 
 
 def test_action_validation_rejects_non_homomorphism():

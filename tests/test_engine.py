@@ -33,19 +33,25 @@ def _table(g):
     return [[g.mul(i, j) for j in range(g.order)] for i in range(g.order)]
 
 
-def _affine_ops(p):
+def _affine_ops(p, m):
+    """Product and inverse on the pairs (b, j) of build_frobenius(p, m),
+    computed on the affine maps x -> a^j x + b that they stand for."""
+    a = constructions._order_m_element(p, m)
+    log = {pow(a, j, p): j for j in range(m)}
+
     def compose(x, y):
-        return ((x[0] * y[0]) % p, (x[0] * y[1] + x[1]) % p)
+        s, t = pow(a, x[1], p), pow(a, y[1], p)
+        return (s * y[0] + x[0]) % p, log[s * t % p]
 
     def inverse(x):
-        s = pow(x[0], -1, p)
-        return (s, (-s * x[1]) % p)
+        s = pow(a, -x[1], p)
+        return (-s * x[0]) % p, log[s]
 
     return compose, inverse
 
 
-def _affine_right_multiplier(p):
-    compose, inverse = _affine_ops(p)
+def _affine_right_multiplier(p, m):
+    compose, inverse = _affine_ops(p, m)
     return (lambda z: lambda x: compose(x, z)), inverse
 
 
@@ -62,9 +68,10 @@ def _criterion_8_corpus():
         (engine.symmetric_group(5), perm),
         (engine.alternating_group(5), perm),
         (engine.alternating_group(6), perm),
-        (constructions.build_frobenius(5, 2)[0], _affine_right_multiplier(5)),
-        (constructions.build_frobenius(17, 4)[0], _affine_right_multiplier(17)),
-        (constructions.build_frobenius(257, 16)[0], _affine_right_multiplier(257)),
+        (constructions.build_frobenius(5, 2)[0], _affine_right_multiplier(5, 2)),
+        (constructions.build_frobenius(17, 4)[0], _affine_right_multiplier(17, 4)),
+        (constructions.build_frobenius(257, 16)[0],
+         _affine_right_multiplier(257, 16)),
         (constructions.semidirect_product_permutations(gamma.action), perm),
     ]
 
@@ -464,10 +471,14 @@ def test_trivial_group():
 
 def test_index_mul_and_right_regular_match_callback():
     gamma = constructions.build_gamma_l(5, 19)
+    # A's pairs multiplied through their matrices Z^i F^j
+    matrix_of = dict(zip(gamma.action.group.elements, gamma.action.matrices))
+    pair_of = {mat: x for x, mat in matrix_of.items()}
     cases = [
         (engine.alternating_group(6), _perm_compose),
-        (constructions.build_frobenius(17, 4)[0], _affine_ops(17)[0]),
-        (gamma.action.group, lambda x, y: ml.mat_mul(x, y, 19)),
+        (constructions.build_frobenius(17, 4)[0], _affine_ops(17, 4)[0]),
+        (gamma.action.group,
+         lambda x, y: pair_of[ml.mat_mul(matrix_of[x], matrix_of[y], 19)]),
     ]
     rng = random.Random(5)
     for g, compose in cases:
@@ -544,7 +555,7 @@ _PREFIX_WALK_CASES = {
         engine.group_from_permutations(_psl2_generators(19)),
         (lambda z: operator.itemgetter(*z), _perm_invert)),
     "F(37, 6)": lambda: (
-        constructions.build_frobenius(37, 6)[0], _affine_right_multiplier(37)),
+        constructions.build_frobenius(37, 6)[0], _affine_right_multiplier(37, 6)),
     "PSL(2, 7) table": lambda: (
         (g := _relabeled_psl27_table()), _table_ops(g)),
 }
