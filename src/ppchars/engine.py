@@ -23,7 +23,12 @@ Character degrees are computed by the classical modular method (Dixon):
    class representative z_k through the right-regular permutation
    y -> y z_k, composed from the generator tables along z_k's word, with
    the maps of word prefixes shared between representatives; only the
-   nonzero a_ijk are kept, as (j, k, a_ijk) per class i;
+   nonzero a_ijk are kept, as (j, k, a_ijk) per class i.  With k* the
+   class of the inverses of K_k, a_{i*j*k*} = a_ijk: of the x in K_{i*}
+   with x^-1 z_k^-1 in K_{j*}, u = x^-1 runs over the u in K_i with
+   z_k u^-1 in K_j, and z_k u^-1 is conjugate to u^-1 z_k.  So only one
+   class of each inverse pair {k, k*} gets a pass, and the column k* is
+   listed from the column k;
 2. pick a prime L = 1 (mod exponent of G) with L > |G|, so that F_L
    contains all needed roots of unity and every degree-squared value is
    read off exactly;
@@ -779,33 +784,52 @@ def _class_matrices(
     through class_of by one itemgetter call, gives the classes of y z_k,
     and Counter counts the codes i c + j, with i from `inverse_class`.
 
+    Only one class k of each inverse pair {k, k*} is counted, since
+    a_{i*j*k*} = a_ijk.  Proof: with z_k^-1 for the representative of
+    K_{k*}, a_{i*j*k*} counts the x in K_{i*} with x^-1 z_k^-1 in K_{j*}.
+    Put u = x^-1.  Then u is in K_i, and z_k u^-1, the inverse of
+    x^-1 z_k^-1, is in K_j; z_k u^-1 is conjugate to u^-1 z_k, so these
+    are the u that a_ijk counts.  Each (j, k, a) counted for class i is
+    also listed as (j*, k*, a) for class i* when k* != k.  Of each pair
+    the class with the shorter representative word is counted, the lower
+    index on a tie (a table group has no words, so the lower index).
+
     A table group reads each map as a table column.  A closure-built group
-    visits the representatives in sorted word order, so that a word comes
-    after its prefixes, and keeps on a stack the maps y -> y w of the
-    proper prefixes w of the word in hand: each distinct proper prefix
-    costs one composition, and no more maps are alive at once than the
-    longest word has letters.  The last letter t is folded into the
+    visits the counted representatives in sorted word order, so that a
+    word comes after its prefixes, and keeps on a stack the maps y -> y w
+    of the proper prefixes w of the word in hand: each distinct proper
+    prefix costs one composition, and no more maps are alive at once than
+    the longest word has letters.  The last letter t is folded into the
     classes of y g_t, one itemgetter call per generator.  Needs |G| > 1,
     since itemgetter of one index returns a bare entry."""
     c = len(cc.reps)
-    class_of = cc.class_of
+    class_of, inverse_class = cc.class_of, cc.inverse_class
     # the code of the class of y^-1 for each y, one int object per class
-    row_codes = itemgetter(*class_of)([i * c for i in cc.inverse_class])
+    row_codes = itemgetter(*class_of)([i * c for i in inverse_class])
     triples: list[list[tuple[int, int, int]]] = [[] for _ in range(c)]
 
     def count(k: int, classes: tuple[int, ...]) -> None:
-        for code, a in Counter(map(add, row_codes, classes)).items():
+        counts = Counter(map(add, row_codes, classes)).items()
+        for code, a in counts:
             i, j = divmod(code, c)
             triples[i].append((j, k, a))
+        k_star = inverse_class[k]
+        if k_star != k:
+            for code, a in counts:
+                i, j = divmod(code, c)
+                triples[inverse_class[i]].append((inverse_class[j], k_star, a))
 
     if group._table is not None:
         for k, zk in enumerate(cc.reps):
-            count(k, itemgetter(*group.right_regular(zk))(class_of))
+            if k <= inverse_class[k]:
+                count(k, itemgetter(*group.right_regular(zk))(class_of))
         return triples
     right, words = group._right, group._words
+    cost = [(len(words[r]), k) for k, r in enumerate(cc.reps)]
+    counted = [k for k in range(c) if cost[k] <= cost[inverse_class[k]]]
     times_generator = [itemgetter(*right_t)(class_of) for right_t in right]
     stack: list[tuple[int, Sequence[int]]] = []  # (w_n, y -> y w_0 ... w_n)
-    for k in sorted(range(c), key=lambda k: words[cc.reps[k]]):
+    for k in sorted(counted, key=lambda k: words[cc.reps[k]]):
         word = words[cc.reps[k]]
         if not word:
             count(k, class_of)

@@ -15,14 +15,13 @@ printed bound exactly and are pinned by the regression test.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConsistencyError
 from .landau import factorize, is_prime, prime_powers
-from .partitions import _compositions, enumerate_partitions, split_count
+from .partitions import split_count
 from .report import Report
 
 E8_WEYL_ORDER = 696729600
@@ -186,17 +185,6 @@ def defining_char_check() -> Report:
 def wreath_irr_count(d: int, a: int) -> int:
     """|Irr(C_d wr S_a)| = number of d-tuples of partitions of total size a."""
     return split_count(d, a)
-
-
-def wreath_irr_count_naive(d: int, a: int) -> int:
-    """Literal enumeration of tuples of partitions; oracle for the above."""
-    count = 0
-    for comp in _compositions(a, d):
-        for _ in itertools.product(
-            *(tuple(enumerate_partitions(s)) for s in comp)
-        ):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

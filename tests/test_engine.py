@@ -3,6 +3,7 @@ import operator
 import random
 import time
 import tracemalloc
+from collections import Counter
 from functools import partial
 from unittest import mock
 
@@ -581,9 +582,11 @@ def test_class_matrices_by_prefix_walk_match_tuple_formula(name):
 def test_class_matrices_keep_one_map_per_letter_of_the_word_in_hand():
     """V x| A(5, 19) has 67 representative words with 92 distinct proper
     prefixes, none longer than 8 letters; each prefix map holds 3610
-    indices, about 29 KB.  Beyond the structure constants it returns,
-    the class matrices allocate at their peak under 1 MB: the maps of
-    one word, not the 3.8 MB that all 130 prefix maps would take."""
+    indices, about 29 KB.  The engine walks 40 of these words, one of each
+    inverse pair of classes, through 42 of the prefixes.  Beyond the
+    structure constants it returns, the class matrices allocate at their
+    peak under 1 MB: the maps of one word, not the 3.8 MB that all 130
+    prefix maps would take."""
     g = engine.group_from_permutations(_vxa_generators())
     cc = engine.conjugacy_classes(g)
     words = [g._words[r] for r in cc.reps]
@@ -597,6 +600,126 @@ def test_class_matrices_keep_one_map_per_letter_of_the_word_in_hand():
         tracemalloc.stop()
     assert len(mats) == 67
     assert peak - retained < 1_000_000
+
+
+def test_tuple_formula_is_the_same_on_inverted_classes():
+    """a_{i*j*k*} = a_ijk, with * the inverse class, on the reference
+    counts, which form x^-1 z_k from the elements themselves.  The engine
+    counts one class k of each inverse pair and lists k* by this
+    identity, so it is checked here without the engine's counts."""
+    cases = _criterion_8_corpus()
+    cases.append(((g := _relabeled_psl27_table()), _table_ops(g)))
+    pairs = 0
+    for g, (right_multiplier, invert) in cases:
+        cc = engine.conjugacy_classes(g)
+        star = cc.inverse_class
+        triples = _tuple_formula(g, cc, right_multiplier, invert)
+        mirrored = [
+            sorted((star[j], star[k], a) for j, k, a in triples[star[i]])
+            for i in range(len(triples))
+        ]
+        assert mirrored == triples, g.name
+        pairs += sum(star[k] > k for k in range(len(star)))
+    assert pairs > 0
+
+
+_INVERSE_PAIR_CASES = {
+    "V x| A(5, 19)": (
+        lambda: engine.group_from_permutations(_vxa_generators()), 40, 67),
+    "F(37, 36)": (lambda: constructions.build_frobenius(37, 36)[0], 20, 37),
+    "D300": (lambda: engine.dihedral_group(300), 78, 78),
+}
+
+
+@pytest.mark.parametrize("name", _INVERSE_PAIR_CASES)
+def test_class_matrices_count_one_class_of_each_inverse_pair(name, monkeypatch):
+    """Each counted class is one Counter pass over G.  V x| A(5, 19) has
+    13 real classes and 27 inverse pairs, F(37, 36) 3 and 17, and every
+    class of D300 is real."""
+    build, counted, classes = _INVERSE_PAIR_CASES[name]
+    g = build()
+    cc = engine.conjugacy_classes(g)
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return Counter(*args)
+
+    monkeypatch.setattr(engine, "Counter", counting)
+    assert len(engine._class_matrices(g, cc)) == classes
+    assert len(calls) == counted
+
+
+def test_class_matrices_walk_42_prefixes_on_vxa(monkeypatch):
+    """The 40 words the engine walks on V x| A(5, 19) have 159 letters
+    against the 330 of all 67, and 42 distinct proper prefixes against 92.
+    Three of the 42 are single letters, whose maps are the generator
+    tables themselves; each of the other 39 costs one composition, an
+    itemgetter applied to a generator table."""
+    g = engine.group_from_permutations(_vxa_generators())
+    cc = engine.conjugacy_classes(g)
+    words = [g._words[r] for r in cc.reps]
+    star = cc.inverse_class
+    walked = [
+        w for k, w in enumerate(words)
+        if (len(w), k) <= (len(words[star[k]]), star[k])
+    ]
+    prefixes = {w[:n] for w in walked for n in range(1, len(w))}
+    assert (len(walked), sum(map(len, walked))) == (40, 159)
+    assert sum(map(len, words)) == 330
+    assert len(prefixes) == 42
+    assert sum(len(w) == 1 for w in prefixes) == 3
+    tables = {id(t) for t in g._right}
+    composed = []
+
+    def recording(*items):
+        get = operator.itemgetter(*items)
+
+        def apply(x):
+            if id(x) in tables:
+                composed.append(None)
+            return get(x)
+        return apply
+
+    monkeypatch.setattr(engine, "itemgetter", recording)
+    engine._class_matrices(g, cc)
+    assert len(composed) == 42 - 3
+
+
+_MIRROR_MUTATION_GROUPS = {
+    "F(17, 4)": lambda: constructions.build_frobenius(17, 4)[0],
+    "C80": lambda: engine.cyclic_group(80),
+    "V x| A(5, 19)": lambda: engine.group_from_permutations(_vxa_generators()),
+}
+
+
+@pytest.mark.parametrize("name", _MIRROR_MUTATION_GROUPS)
+def test_corrupted_triple_of_a_non_real_class_is_refused(name, monkeypatch):
+    """One triple (j, k, a) with k not real, counted or listed by the
+    identity a_{i*j*k*} = a_ijk, is corrupted in three ways: a + 1, the
+    triple dropped, and k moved to the next class.  Every run refuses
+    rather than return degrees."""
+    g = _MIRROR_MUTATION_GROUPS[name]()
+    cc = engine.conjugacy_classes(g)
+    mats = engine._class_matrices(g, cc)
+    c = len(mats)
+    spots = [
+        (i, n) for i, triples in enumerate(mats)
+        for n, (j, k, a) in enumerate(triples) if cc.inverse_class[k] != k
+    ]
+    corruptions = (
+        lambda j, k, a: [(j, k, a + 1)],
+        lambda j, k, a: [],
+        lambda j, k, a: [(j, (k + 1) % c, a)],
+    )
+    for corrupt in corruptions:
+        for seed in range(5):
+            i, n = random.Random(seed).choice(spots)
+            bad = [list(triples) for triples in mats]
+            bad[i][n:n + 1] = corrupt(*bad[i][n])
+            monkeypatch.setattr(engine, "_class_matrices", lambda g, cc: bad)
+            with pytest.raises((ConsistencyError, EngineSplitError)):
+                engine.irreducible_degrees(g, seed=seed)
 
 
 def test_table_groups_get_small_generating_sets():
