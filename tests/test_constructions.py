@@ -279,7 +279,8 @@ def test_gamma_l_centralizer_counts_frobenius_powers(p, r):
 
 def _table_subgroup(group, indices):
     """The subgroup on closed indices as a relabeled |I| x |I| table,
-    checked by Light's test: a reference that shares no closure code."""
+    proven a group by the table path of validate(), one row composition
+    per element: a reference that shares no closure code."""
     pos = {g: t for t, g in enumerate(indices)}
     table = [[pos[group.mul(g, h)] for h in indices] for g in indices]
     return engine.group_from_table(table)

@@ -1,10 +1,11 @@
+import itertools
 import math
 import operator
 import random
 import time
 import tracemalloc
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from unittest import mock
 
 import pytest
@@ -56,13 +57,16 @@ def _affine_right_multiplier(p, m):
     return (lambda z: lambda x: compose(x, z)), inverse
 
 
+@cache
 def _criterion_8_corpus():
     """The engine acceptance corpus, each group with element-level maps
     z -> (x -> x z) and x -> x^-1.  For a permutation, x z = x o z is
-    itemgetter(*z)(x)."""
+    itemgetter(*z)(x).  Built once per module: the tests that read it
+    share its groups, and with them the reference counts of
+    `_reference_counts`."""
     perm = (lambda z: operator.itemgetter(*z), _perm_invert)
     gamma = constructions.build_gamma_l(5, 19)
-    return [
+    return (
         (engine.cyclic_group(12), perm),
         (engine.dihedral_group(10), perm),
         (engine.symmetric_group(4), perm),
@@ -74,7 +78,7 @@ def _criterion_8_corpus():
         (constructions.build_frobenius(257, 16)[0],
          _affine_right_multiplier(257, 16)),
         (constructions.semidirect_product_permutations(gamma.action), perm),
-    ]
+    )
 
 
 def test_cyclic():
@@ -517,12 +521,23 @@ def _tuple_formula(g, cc, right_multiplier, invert):
     ]
 
 
+_REFERENCES = {}
+
+
+def _reference_counts(g, cc, right_multiplier, invert):
+    """`_tuple_formula` of g, computed once per group object.  The entry
+    keeps g alive, so its id is not reused while the module runs."""
+    if id(g) not in _REFERENCES:
+        _REFERENCES[id(g)] = (g, _tuple_formula(g, cc, right_multiplier, invert))
+    return _REFERENCES[id(g)][1]
+
+
 def test_class_matrices_match_tuple_formula():
     """The engine lists the nonzero (j, k, a_ijk) of each class i, each
     once, as the tuple formula counts them."""
     for g, (right_multiplier, invert) in _criterion_8_corpus():
         cc = engine.conjugacy_classes(g)
-        expected = _tuple_formula(g, cc, right_multiplier, invert)
+        expected = _reference_counts(g, cc, right_multiplier, invert)
         assert [sorted(t) for t in engine._class_matrices(g, cc)] == expected, g.name
 
 
@@ -549,9 +564,8 @@ def _table_ops(g):
 
 
 _PREFIX_WALK_CASES = {
-    "V x| A(5, 19)": lambda: (
-        engine.group_from_permutations(_vxa_generators()),
-        (lambda z: operator.itemgetter(*z), _perm_invert)),
+    # the corpus group, closed from the generators of _vxa_generators()
+    "V x| A(5, 19)": lambda: _criterion_8_corpus()[-1],
     "PSL(2, 19)": lambda: (
         engine.group_from_permutations(_psl2_generators(19)),
         (lambda z: operator.itemgetter(*z), _perm_invert)),
@@ -575,7 +589,7 @@ def test_class_matrices_by_prefix_walk_match_tuple_formula(name):
         assert any(v != w and v[:len(w)] == w for w in words if w for v in words)
     else:
         assert g.identity != 0
-    expected = _tuple_formula(g, cc, right_multiplier, invert)
+    expected = _reference_counts(g, cc, right_multiplier, invert)
     assert [sorted(t) for t in engine._class_matrices(g, cc)] == expected
 
 
@@ -607,13 +621,13 @@ def test_tuple_formula_is_the_same_on_inverted_classes():
     counts, which form x^-1 z_k from the elements themselves.  The engine
     counts one class k of each inverse pair and lists k* by this
     identity, so it is checked here without the engine's counts."""
-    cases = _criterion_8_corpus()
-    cases.append(((g := _relabeled_psl27_table()), _table_ops(g)))
+    g = _relabeled_psl27_table()
+    cases = [*_criterion_8_corpus(), (g, _table_ops(g))]
     pairs = 0
     for g, (right_multiplier, invert) in cases:
         cc = engine.conjugacy_classes(g)
         star = cc.inverse_class
-        triples = _tuple_formula(g, cc, right_multiplier, invert)
+        triples = _reference_counts(g, cc, right_multiplier, invert)
         mirrored = [
             sorted((star[j], star[k], a) for j, k, a in triples[star[i]])
             for i in range(len(triples))
@@ -754,11 +768,95 @@ def test_table_validation_refuses_a_swapped_intercalate(x, z):
 
 
 def test_table_validation_needs_a_generating_set():
-    # Light's test proves associativity only on what the generators generate
+    # the walk proves every row a word in the generator rows only if it
+    # reaches every element, so the generators must generate
     h = engine.group_from_table(_table(engine.dihedral_group(8)))
     h.generators = [h.generators[0]]
     with pytest.raises(ConsistencyError, match="do not generate"):
         h.validate()
+
+
+def _reduced_latin_squares(n):
+    """Every Latin square on 0..n-1 whose first row and first column are
+    0, 1, ..., n-1 in order.  Rows are chosen one at a time among the
+    permutations, with a bit per (column, value) already used; the last
+    row is then forced, each column taking the value it lacks."""
+    first = tuple(range(n))
+    if n == 1:
+        return [[first]]
+    candidates = {}
+    for row in itertools.permutations(range(n)):
+        mask = sum(1 << (c * n + v) for c, v in enumerate(row))
+        candidates.setdefault(row[0], []).append((row, mask))
+    squares = []
+
+    def extend(rows, used):
+        if len(rows) == n - 1:
+            total = n * (n - 1) // 2
+            squares.append(rows + [tuple(
+                total - sum(r[c] for r in rows) for c in range(n))])
+            return
+        for row, mask in candidates[len(rows)]:
+            if not mask & used:
+                extend(rows + [row], used | mask)
+
+    extend([first], sum(1 << (c * n + c) for c in range(n)))
+    return squares
+
+
+def test_table_validation_accepts_exactly_the_associative_latin_squares():
+    """Every reduced Latin square of order n <= 6 (1, 1, 1, 4, 56 and 9408
+    of them) has the identity 0.  group_from_table must accept exactly
+    those whose law passes all n^3 triples: 1, 1, 1, 4, 6 and 80, the
+    groups among them.  Order 6 holds loops that fail only in the row
+    check of the walk, and loops that fail only in the column checks."""
+    counts = []
+    for n in range(1, 7):
+        squares = _reduced_latin_squares(n)
+        accepted = 0
+        for t in squares:
+            associative = all(
+                t[t[a][b]][c] == t[a][t[b][c]]
+                for a in range(n) for b in range(n) for c in range(n)
+            )
+            try:
+                engine.group_from_table(t)
+            except (ConsistencyError, ValueError):
+                assert not associative, t
+            else:
+                assert associative, t
+                accepted += 1
+        counts.append((len(squares), accepted))
+    assert counts == [(1, 1), (1, 1), (1, 1), (4, 4), (56, 6), (9408, 80)]
+
+
+def test_table_validation_makes_one_composition_per_element(monkeypatch):
+    """On the F(37, 36) table (n = 1332, generators S = {1, 2}) validate()
+    applies n - 1 row compositions along the walk and 2 |S|^2 column
+    checks, every one an itemgetter of n items: 1339 in all, against the
+    |S| n = 2664 of one composition per element and generator."""
+    g = constructions.build_frobenius(37, 36)[0]
+    # row x is x j for every j, read off the right-regular columns
+    columns = [g.right_regular(j) for j in range(g.order)]
+    h = engine.group_from_table(list(zip(*columns)))
+    n, s = h.order, len(h.generators)
+    assert (n, h.generators) == (1332, [1, 2])
+    widths = []
+
+    def recording(*items):
+        get = operator.itemgetter(*items)
+
+        def apply(x):
+            widths.append(len(items))
+            return get(x)
+        return apply
+
+    monkeypatch.setattr(engine, "itemgetter", recording)
+    h.validate()
+    wide = [w for w in widths if w == n]
+    assert len(wide) == n - 1 + 2 * s * s == 1339
+    # the rest are the reads of the s columns, one entry per row
+    assert len(widths) - len(wide) == s * n
 
 
 def test_closure_validation_checks_the_generator_tables():
