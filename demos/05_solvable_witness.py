@@ -6,7 +6,8 @@ F_19.  Inside GammaL_1(361), the subgroup A generated by multiplication
 with an element of order 5 and the 19-power Frobenius map is C_5 x| C_2,
 and G = V x| A has exactly 4 = 2*sqrt(4) characters of 5'-degree.  The
 construction works because ord_5(19) = 2: the Frobenius map then
-centralizes nothing in the order-5 subgroup.
+centralizes nothing in the order-5 subgroup.  V is F_19[x] modulo a
+quadratic factor of x^4 + x^3 + x^2 + x + 1, where x has order 5.
 
 The degree multiset is computed twice: from dual orbits by Clifford
 theory, and by the degree engine on the explicit order-3610 permutation
@@ -22,13 +23,20 @@ from ppchars.constructions import (
     find_construction_prime,
 )
 
+
+def monomial(c, i):
+    power = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+    return power if c == 1 and i else f"{c} {power}".strip()
+
+
 p = 5
 r = find_construction_prime(p)
 print(f"smallest usable construction prime for p = {p}: r = {r}"
       f"  (19 = 4 mod 5 has order 2)")
 
 built = build_gamma_l(p, r)
-print(f"field modulus over F_{r}: x^2 + {built.modulus[0]}")
+terms = [monomial(c, i) for i, c in enumerate(built.modulus) if c]
+print(f"field modulus over F_{r}: {' + '.join(reversed(terms))}")
 print(f"multiplication-by-zeta matrix: {built.mult_matrix}")
 print(f"Frobenius matrix:              {built.frobenius_matrix}")
 print("construction invariants verified: fixed-point-free order-5 action,")

@@ -25,6 +25,7 @@ orbit/stabilizer data is touched (no complex numbers, no character values).
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,12 +42,7 @@ from .engine import (
     irreducible_degrees,
 )
 from .errors import ConsistencyError, SearchExhaustedError
-from .landau import (
-    is_perfect_square,
-    is_prime,
-    multiplicative_order,
-    prime_divisors,
-)
+from .landau import is_perfect_square, is_prime, multiplicative_order
 from .report import Report
 
 
@@ -142,9 +138,10 @@ class LinearGroupAction:
     """A finite group acting by invertible dim x dim matrices over F_ell.
 
     matrices[i] is the image of group element i; the map need not be
-    faithful.  |group| must be coprime to ell.  Its maker proves the map a
-    homomorphism: `validate` for a listed action, and `build_gamma_l` for
-    A by its presentation, with matrices formed only when read.
+    faithful.  |group| must be coprime to ell.  The map is proven a
+    homomorphism: by `validate` for a listed action, which
+    `clifford_pprime_count` runs, and by `build_gamma_l` for A from its
+    presentation, with matrices formed only when read.
     """
 
     ell: int
@@ -190,33 +187,10 @@ class GammaLConstruction:
     p: int
     m: int
     r: int
-    modulus: tuple[int, ...]  # monic irreducible of degree m over F_r
+    modulus: tuple[int, ...]  # a monic factor of Phi_p of degree m over F_r
     mult_matrix: ml.Matrix  # multiplication by zeta
     frobenius_matrix: ml.Matrix
     action: LinearGroupAction
-
-
-def _find_irreducible(r: int, m: int) -> list[int]:
-    """Lexicographically smallest monic irreducible of degree m over F_r,
-    ordering by the base-r encoding of the low coefficient tuple."""
-    for coeffs in _all_vectors(r, m):
-        poly = list(coeffs) + [1]
-        if _is_irreducible(poly, r, m):
-            return poly
-    raise ConsistencyError(f"no irreducible of degree {m} over F_{r}")
-
-
-def _is_irreducible(poly: list[int], r: int, m: int) -> bool:
-    x = [0, 1]
-    xq = ml.poly_powmod(x, r**m, poly, r)
-    if ml.poly_sub(xq, x, r) != [0]:
-        return False
-    for ell in prime_divisors(m):
-        xe = ml.poly_powmod(x, r ** (m // ell), poly, r)
-        g = ml.poly_gcd(ml.poly_sub(xe, x, r), poly, r)
-        if ml.poly_deg(g) != 0:
-            return False
-    return True
 
 
 def _padded(poly: list[int], m: int) -> tuple:
@@ -232,6 +206,15 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
       for every 0 < i < p;
     * the Frobenius map normalizes P, centralizes none of P \\ {1}, and
       C_A(P) = P.
+
+    V is F_r[x]/(f) for the first factor f of Phi_p = 1 + x + ... + x^(p-1)
+    that `ml.equal_degree_factors` yields, and zeta = x.  As r != p, x^p - 1
+    is prime to its derivative p x^(p-1), so Phi_p is squarefree over F_r.
+    A root of an irreducible factor of degree k is not 1, as Phi_p(1) = p
+    != 0, so it has order p, and the field F_{r^k} it generates is the
+    least F_{r^j} with p | r^j - 1: k = ord_p(r) = m.  So every factor has
+    degree m, f is irreducible and x has order p modulo f.  The splitter
+    draws from a fixed generator, so the field is the same on every run.
 
     A is `metacyclic_group(p, m, r)`, whose pair (i, j) acts by Z^i F^j,
     formed when read.  Its presentation proves the action faithful, with
@@ -258,21 +241,12 @@ def build_gamma_l(p: int, r: int) -> GammaLConstruction:
             f"ord_{p}({r}) = {order} != {m}; "
             "construction needs ord_p(r) = sqrt(p-1)"
         )
-    q = r**m
-    if (q - 1) % p:
+    if (r**m - 1) % p:
         raise ConsistencyError("p does not divide r^m - 1")
-    modulus = _find_irreducible(r, m)
-
-    zeta = None
-    # codes 0 .. r-1 are the scalars F_r; since ord_p(r) = m >= 2, r - 1
-    # divides (q-1)/p, so their powers are 0 or 1 and the search skips them
-    for digits in _all_vectors(r, m, start=r):
-        candidate = ml.poly_powmod(list(digits), (q - 1) // p, modulus, r)
-        if candidate != [1]:  # a nonzero vector has a nonzero power
-            zeta = candidate
-            break
-    if zeta is None or ml.poly_powmod(zeta, p, modulus, r) != [1]:
-        raise ConsistencyError("failed to locate an element of order p")
+    modulus = next(ml.equal_degree_factors([1] * p, m, r, random.Random(0)))
+    zeta = [0, 1]
+    if ml.poly_powmod(zeta, p, modulus, r) != [1]:
+        raise ConsistencyError("x does not have order p modulo the factor")
 
     # column j of each matrix is the image of the basis vector x^j
     basis = [[0] * j + [1] for j in range(m)]
@@ -359,10 +333,9 @@ def _verify_gamma_l_invariants(p, r, zeta_powers, frob_powers) -> None:
         raise ConsistencyError(f"|C_A(P)| = {centralizer}, expected {p}")
 
 
-def _all_vectors(ell: int, dim: int, start: int = 0):
-    """The vectors of F_ell^dim as tuples, in base-ell code order, from
-    the one with code `start` on."""
-    for code in range(start, ell**dim):
+def _all_vectors(ell: int, dim: int):
+    """The vectors of F_ell^dim as tuples, in base-ell code order."""
+    for code in range(ell**dim):
         v = []
         c = code
         for _ in range(dim):
@@ -409,9 +382,10 @@ def clifford_pprime_count(
     stabilizers off containments: R lies in W_g when each basis row of R
     does.  A meet R with W_g is formed only where it can be a new member:
     not for R = V (the meet is W_g), R or W_g = 0, or a line R (the meet
-    is 0).  See `_fixed_space_lattice`.  Checked exactly: the f
-    are non-negative and sum to |V|, each orbit count is an integer, and
-    the squared degrees sum to |V| * |A|.
+    is 0).  See `_fixed_space_lattice`.  Checked exactly: a listed action
+    is a homomorphism (`validate`; `build_gamma_l` proved its A from the
+    presentation), the f are non-negative and sum to |V|, each orbit count
+    is an integer, and the squared degrees sum to |V| * |A|.
 
     Returns the count of degrees coprime to p, the full multiset, and one
     row per inertia type: its orbit size [A:I], |I|, the number of orbits
@@ -422,6 +396,8 @@ def clifford_pprime_count(
     n = group.order
     if math.gcd(n, ell) != 1:
         raise ValueError("group order not coprime to the characteristic")
+    if not isinstance(action.matrices, _NormalFormMatrices):
+        action.validate()
     conjugations = _generator_conjugations(group)
     reps, class_size, rep_stabilizer = _fixed_space_lattice(action, conjugations)
     conjugates = [_conjugates(conjugations, h) for h in rep_stabilizer]

@@ -386,33 +386,14 @@ def poly_gcd(f: Poly, g: Poly, p: int) -> Poly:
     return f
 
 
-# Below this modulus degree poly_powmod multiplies and reduces schoolbook,
-# which skips the zero coefficients of sparse moduli; from it on it runs
-# packed.  Measured with Python 3.11 on a shared 2-vCPU Xeon host, raising
-# x + a to (p - 1) / 2 modulo 30 random dense moduli, p = 4561 and 45233,
-# schoolbook over packed time: 0.84 at degree 2, 1.0 at 3, 1.2-1.35 at 4,
-# 2.0 at 8 and 6.5-8.5 at 32.  Two callers remain.  The field build of
-# `constructions` tests sparse candidates for irreducibility:
-# `solvable --p 37 --r 2897` makes 2920 Rabin tests on degree-6 ones,
-# 3.4-3.6 s with this bound at 8, 5.1 s at 6 and 5.3-5.8 s at 4.  The
-# Cantor-Zassenhaus route of `distinct_roots` runs only where
-# p > ROOT_SWEEP_FACTOR * deg f, so on moduli of small degree in a large
-# field, where both kernels take well under a millisecond a power.
-POWMOD_PACKED_DEGREE = 8
-
-
 def poly_powmod(base: Poly, e: int, mod: Poly, p: int) -> Poly:
-    result = [1]
-    base = poly_mod(base, mod, p)
+    """base^e modulo `mod` over F_p.  Modulo a constant or a linear
+    polynomial the reduced base is a constant, powered in F_p."""
     f = poly_trim([x % p for x in mod])
-    if poly_deg(f) >= POWMOD_PACKED_DEGREE:
+    base = poly_mod(base, f, p)
+    if poly_deg(f) >= 2:
         return _powmod_packed(base, e, f, p)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, p), mod, p)
-        base = poly_mod(poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
+    return [pow(base[0], e, p)]
 
 
 def _powmod_packed(base: Poly, e: int, f: Poly, p: int) -> Poly:
@@ -583,31 +564,45 @@ def _roots_by_sweep(f: Poly, p: int) -> list[int]:
 
 
 def _roots_by_splitting(f: Poly, p: int, rng: random.Random) -> list[int]:
-    """The roots of a reduced, trimmed f of degree >= 1 in F_p (odd p),
-    via gcd with the field polynomial followed by Cantor-Zassenhaus
-    equal-degree splitting."""
+    """The roots of a reduced, trimmed f of degree >= 1 in F_p (odd p):
+    the gcd of f with x^p - x is the product of the distinct linear
+    factors of f, which `equal_degree_factors` splits."""
     xp = poly_powmod([0, 1], p, f, p)
     g = poly_gcd(poly_sub(xp, [0, 1], p), f, p)
-    roots = []
-    stack = [g]
+    return sorted((-h[0]) % p for h in equal_degree_factors(g, 1, p, rng))
+
+
+def equal_degree_factors(f: Poly, d: int, p: int, rng: random.Random):
+    """The monic irreducible factors of f over F_p, for an odd prime p and
+    a squarefree f whose irreducible factors all have degree d, one at a
+    time (Cantor and Zassenhaus 1981).  A constant f has none.
+
+    A piece h with k > 1 factors is split by a random base a of degree
+    < deg h: modulo each factor, a^((p^d - 1) / 2) is 0, 1 or -1, the
+    last two about equally often and independently, so
+    gcd(a^((p^d - 1) / 2) - 1, h) is a proper factor of h with probability
+    about 1 - 2^(1-k) >= 1/2.  The smaller piece is split first, so the
+    first factor comes after about log2 k splits.
+    """
+    if p == 2:
+        raise ValueError("equal-degree splitting needs an odd prime")
+    f = poly_trim([x % p for x in f])
+    if poly_deg(f) % d:
+        raise ValueError(f"degree {poly_deg(f)} is not a multiple of {d}")
+    e = (p**d - 1) // 2
+    lead_inv = pow(f[-1], -1, p)
+    stack = [[x * lead_inv % p for x in f]]
     while stack:
         h = stack.pop()
-        d = poly_deg(h)
-        if d == 0:
-            continue
-        if d == 1:
-            roots.append((-h[0]) % p)
-            continue
-        while True:
-            shift = [rng.randrange(p), 1]
-            t = poly_powmod(shift, (p - 1) // 2, h, p)
-            d1 = poly_gcd(poly_sub(t, [1], p), h, p)
-            if 0 < poly_deg(d1) < d:
+        n = poly_deg(h)
+        if n == d:
+            yield h
+        while n > d:
+            base = poly_trim([rng.randrange(p) for _ in range(n)])
+            g = poly_gcd(poly_sub(poly_powmod(base, e, h, p), [1], p), h, p)
+            if 0 < poly_deg(g) < n:
+                q, rem = poly_divmod(h, g, p)
+                if any(rem):
+                    raise ConsistencyError("inexact polynomial split")
+                stack += sorted((g, q), key=len, reverse=True)
                 break
-        d2, rem = poly_divmod(h, d1, p)
-        if any(rem):
-            raise ConsistencyError("inexact polynomial split")
-        stack.append(d1)
-        stack.append(d2)
-    roots.sort()
-    return roots

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from ppchars import constructions, engine
 from ppchars import modlinalg as ml
 from ppchars.cli import main
 from ppchars.errors import ConsistencyError, SearchExhaustedError
+from ppchars.landau import multiplicative_order, prime_divisors, primes_up_to
 
 import list_kernels as lk
 
@@ -114,7 +116,6 @@ def test_frobenius_rejects_bad_m():
 def test_find_construction_prime():
     assert constructions.find_construction_prime(5) == 19
     r17 = constructions.find_construction_prime(17)
-    from ppchars.landau import multiplicative_order, primes_up_to
     assert multiplicative_order(r17, 17) == 4
     with pytest.raises(SearchExhaustedError):
         constructions.find_construction_prime(5, search_limit=10)
@@ -127,23 +128,49 @@ def test_find_construction_prime():
         assert constructions.find_construction_prime(p) == expected
 
 
-@pytest.mark.parametrize("p, r", [(5, 19), (5, 509), (17, 13), (37, 11)])
-def test_zeta_is_the_first_nonscalar_hit(p, r):
-    """The search for zeta starts after the scalars of F_r; each of them
-    has (q-1)/p-th power 0 or 1, so a search from code 0 finds the same
-    zeta, the first column of the multiplication matrix."""
-    built = constructions.build_gamma_l(p, r)
-    m, modulus = built.m, list(built.modulus)
-    exponent = (r**m - 1) // p
-    one = (1,) + (0,) * (m - 1)
-    powers = (constructions._padded(ml.poly_powmod(list(v), exponent, modulus, r), m)
-              for v in constructions._all_vectors(r, m))
-    for code, power in enumerate(powers):
-        if code < r:
-            assert power == (one if code else (0,) * m)
-        elif power != one:
-            break
-    assert tuple(row[0] for row in built.mult_matrix) == power
+def _is_irreducible(poly, r, m):
+    """Rabin's test: a monic poly of degree m over F_r is irreducible iff
+    it divides x^(r^m) - x and is prime to x^(r^(m/l)) - x for every prime
+    l dividing m."""
+    x = [0, 1]
+    if ml.poly_sub(ml.poly_powmod(x, r**m, poly, r), x, r) != [0]:
+        return False
+    return all(
+        ml.poly_deg(ml.poly_gcd(
+            ml.poly_sub(ml.poly_powmod(x, r ** (m // ell), poly, r), x, r),
+            poly, r)) == 0
+        for ell in prime_divisors(m)
+    )
+
+
+@pytest.mark.parametrize("p, admissible", [(5, 104), (17, 51), (37, 21)])
+def test_field_modulus_is_an_irreducible_factor_of_phi_p(p, admissible):
+    """For every prime r < 3000 with ord_p(r) = m coprime to pm, the field
+    modulus is the first factor of Phi_p that the splitter yields: monic,
+    of degree m, a divisor of Phi_p with x^p = 1 modulo it, and
+    irreducible by Rabin's test.  All the factors have degree m, and
+    (p - 1) / m of them multiply to Phi_p.  Two builds give the same
+    modulus."""
+    m = math.isqrt(p - 1)
+    phi = [1] * p
+    rs = [r for r in primes_up_to(3000)
+          if r != p and m % r and multiplicative_order(r, p) == m]
+    assert len(rs) == admissible
+    for r in rs:
+        modulus = list(constructions.build_gamma_l(p, r).modulus)
+        assert list(constructions.build_gamma_l(p, r).modulus) == modulus
+        factors = list(ml.equal_degree_factors(phi, m, r, random.Random(0)))
+        assert factors[0] == modulus
+        assert modulus[-1] == 1 and ml.poly_deg(modulus) == m
+        assert ml.poly_mod(phi, modulus, r) == [0]
+        assert ml.poly_powmod([0, 1], p, modulus, r) == [1]
+        assert _is_irreducible(modulus, r, m), (p, r)
+        assert len(factors) == (p - 1) // m
+        assert all(ml.poly_deg(f) == m and f[-1] == 1 for f in factors)
+        product = [1]
+        for f in factors:
+            product = ml.poly_mul(product, f, r)
+        assert product == phi
 
 
 def test_build_gamma_l_rejects_wrong_order():
@@ -498,7 +525,7 @@ def test_action_validation_rejects_wrong_characteristic():
     action = constructions.LinearGroupAction(2, 1, c2, (((1,),), ((1,),)))
     with pytest.raises(ValueError):
         action.validate()
-    # the count checks it too, as it no longer calls validate
+    # the count refuses it too, before it validates the action
     with pytest.raises(ValueError, match="not coprime"):
         constructions.clifford_pprime_count(action, 5)
 
@@ -513,6 +540,21 @@ def test_action_validation_rejects_non_homomorphism():
     action = constructions.LinearGroupAction(5, 1, c1, (((0,),),))
     with pytest.raises(ConsistencyError, match="identity"):
         action.validate()
+
+
+def test_clifford_count_refuses_a_listed_action_that_is_no_homomorphism():
+    """diag(2, 6) over F_7 squares to diag(4, 1) != I, so it is not the
+    image of the generator of C2.  Counted as given, it would read as the
+    degrees ((1, 2), (2, 24)), and every check of the count would pass:
+    1 * 2 + 4 * 24 = 98 = 7^2 * 2.  The count validates a listed action
+    first and refuses it."""
+    c2 = engine.cyclic_group(2)
+    g = next(x for x in range(2) if x != c2.identity)
+    mats = [None, None]
+    mats[c2.identity], mats[g] = ml.mat_identity(2), ((2, 0), (0, 6))
+    action = constructions.LinearGroupAction(7, 2, c2, tuple(mats))
+    with pytest.raises(ConsistencyError, match="homomorphism"):
+        constructions.clifford_pprime_count(action, 7)
 
 
 def test_action_validation_checks_every_row_and_entry():

@@ -594,18 +594,18 @@ def test_class_matrices_by_prefix_walk_match_tuple_formula(name):
 
 
 def test_class_matrices_keep_one_map_per_letter_of_the_word_in_hand():
-    """V x| A(5, 19) has 67 representative words with 92 distinct proper
-    prefixes, none longer than 8 letters; each prefix map holds 3610
+    """V x| A(5, 19) has 67 representative words with 77 distinct proper
+    prefixes, none longer than 10 letters; each prefix map holds 3610
     indices, about 29 KB.  The engine walks 40 of these words, one of each
-    inverse pair of classes, through 42 of the prefixes.  Beyond the
+    inverse pair of classes, through 54 of the prefixes.  Beyond the
     structure constants it returns, the class matrices allocate at their
-    peak under 1 MB: the maps of one word, not the 3.8 MB that all 130
+    peak under 1 MB: the maps of one word, not the 3.2 MB that all 112
     prefix maps would take."""
     g = engine.group_from_permutations(_vxa_generators())
     cc = engine.conjugacy_classes(g)
     words = [g._words[r] for r in cc.reps]
-    assert len({w[:n] for w in words for n in range(1, len(w))}) == 92
-    assert max(map(len, words)) == 9
+    assert len({w[:n] for w in words for n in range(1, len(w))}) == 77
+    assert max(map(len, words)) == 11
     tracemalloc.start()
     try:
         mats = engine._class_matrices(g, cc)
@@ -664,11 +664,11 @@ def test_class_matrices_count_one_class_of_each_inverse_pair(name, monkeypatch):
     assert len(calls) == counted
 
 
-def test_class_matrices_walk_42_prefixes_on_vxa(monkeypatch):
-    """The 40 words the engine walks on V x| A(5, 19) have 159 letters
-    against the 330 of all 67, and 42 distinct proper prefixes against 92.
-    Three of the 42 are single letters, whose maps are the generator
-    tables themselves; each of the other 39 costs one composition, an
+def test_class_matrices_walk_54_prefixes_on_vxa(monkeypatch):
+    """The 40 words the engine walks on V x| A(5, 19) have 204 letters
+    against the 387 of all 67, and 54 distinct proper prefixes against 77.
+    Three of the 54 are single letters, whose maps are the generator
+    tables themselves; each of the other 51 costs one composition, an
     itemgetter applied to a generator table."""
     g = engine.group_from_permutations(_vxa_generators())
     cc = engine.conjugacy_classes(g)
@@ -679,9 +679,9 @@ def test_class_matrices_walk_42_prefixes_on_vxa(monkeypatch):
         if (len(w), k) <= (len(words[star[k]]), star[k])
     ]
     prefixes = {w[:n] for w in walked for n in range(1, len(w))}
-    assert (len(walked), sum(map(len, walked))) == (40, 159)
-    assert sum(map(len, words)) == 330
-    assert len(prefixes) == 42
+    assert (len(walked), sum(map(len, walked))) == (40, 204)
+    assert sum(map(len, words)) == 387
+    assert len(prefixes) == 54
     assert sum(len(w) == 1 for w in prefixes) == 3
     tables = {id(t) for t in g._right}
     composed = []
@@ -697,7 +697,7 @@ def test_class_matrices_walk_42_prefixes_on_vxa(monkeypatch):
 
     monkeypatch.setattr(engine, "itemgetter", recording)
     engine._class_matrices(g, cc)
-    assert len(composed) == 42 - 3
+    assert len(composed) == 54 - 3
 
 
 _MIRROR_MUTATION_GROUPS = {

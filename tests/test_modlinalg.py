@@ -5,6 +5,7 @@ import pytest
 from ppchars import engine
 from ppchars import modlinalg as ml
 from ppchars.errors import ConsistencyError
+from ppchars.landau import multiplicative_order
 
 import list_kernels as lk
 
@@ -284,11 +285,11 @@ def _powmod_reference(base, e, f, p):
 
 
 def test_poly_powmod_matches_schoolbook():
-    """Both sides of POWMOD_PACKED_DEGREE: small exponents against repeated
-    multiplication, large ones against schoolbook square-and-multiply, on
-    dense, sparse and non-monic moduli and unreduced bases."""
+    """The closed form at degree 1 and the packed kernel above it: small
+    exponents against repeated multiplication, large ones against
+    schoolbook square-and-multiply, on dense, sparse and non-monic moduli
+    and unreduced bases."""
     rng = random.Random(29)
-    assert 1 < ml.POWMOD_PACKED_DEGREE < 90
     degrees = (1, 2, 3, 5, 7, 8, 9, 16, 33, 90)
     for p in KERNEL_PRIMES:
         for n in degrees:
@@ -490,6 +491,31 @@ def test_root_sweep_and_splitting_agree(p):
     assert routes == ({True} if p <= ml.ROOT_SWEEP_FACTOR else {True, False})
     for constant in ([0], [1], [p - 1], [2 % p, 0, 0], [p, 2 * p]):
         assert ml.distinct_roots(constant, p, rng) == []
+
+
+def test_equal_degree_factors_split_cyclotomic_polynomials():
+    """Phi_n over F_p, for a prime n != p, is squarefree with every
+    irreducible factor of degree d = ord_n(p).  Scaled by a unit, it
+    splits into (n - 1) / d distinct monic factors of degree d whose
+    product is Phi_n.  A constant has no factor; p = 2 and a degree that
+    d does not divide are refused."""
+    rng = random.Random(32)
+    for p, n in ((3, 5), (3, 13), (5, 13), (7, 29), (101, 41), (4561, 37),
+                 (2**61 - 1, 5)):
+        d = multiplicative_order(p % n, n)
+        phi = [rng.randrange(1, p)] * n
+        factors = list(ml.equal_degree_factors(phi, d, p, random.Random(0)))
+        assert len(set(map(tuple, factors))) == len(factors) == (n - 1) // d
+        assert all(ml.poly_deg(f) == d and f[-1] == 1 for f in factors)
+        product = [1]
+        for f in factors:
+            product = ml.poly_mul(product, f, p)
+        assert product == [1] * n
+    assert list(ml.equal_degree_factors([5], 2, 7, rng)) == []
+    with pytest.raises(ValueError, match="odd prime"):
+        next(ml.equal_degree_factors([1, 1, 1], 2, 2, rng))
+    with pytest.raises(ValueError, match="multiple"):
+        next(ml.equal_degree_factors([1, 1, 1, 1], 2, 5, rng))
 
 
 def test_roots_in_a_wide_field_build_no_table_over_it(monkeypatch):
