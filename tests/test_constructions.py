@@ -173,6 +173,24 @@ def test_field_modulus_is_an_irreducible_factor_of_phi_p(p, admissible):
         assert product == phi
 
 
+@pytest.mark.parametrize("p, r", [(5, 19), (5, 509), (17, 13), (37, 11)])
+def test_zeta_is_x_modulo_the_field_modulus(p, r):
+    """zeta is x: the multiplication matrix is the companion matrix of the
+    modulus f, so its column j, the image of x^j, is x^(j+1) mod f, and its
+    first column is x itself.  x has order exactly p modulo f."""
+    built = constructions.build_gamma_l(p, r)
+    m, modulus = built.m, list(built.modulus)
+    columns = [tuple(row[j] for row in built.mult_matrix) for j in range(m)]
+    assert columns == [
+        constructions._padded(ml.poly_mod([0] * (j + 1) + [1], modulus, r), m)
+        for j in range(m)
+    ]
+    assert columns[0] == (0, 1) + (0,) * (m - 2)
+    x = [0, 1]
+    assert [i for i in range(1, p + 1)
+            if ml.poly_powmod(x, i, modulus, r) == [1]] == [p]
+
+
 def test_build_gamma_l_rejects_wrong_order():
     for r, message in ((11, "ord_5"),  # 11 = 1 mod 5, order 1
                        (5, "coprime")):  # r = p: no order is defined
